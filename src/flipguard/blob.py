@@ -19,6 +19,7 @@ never silently corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
 
+import re
 import struct
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .codes import code_shape
 from .encoding import EncodingMap, encode_value
-from .quantize import QuantConfig, signed_value
+from .quantize import QuantConfig
 
 __all__ = [
     "MAGIC",
@@ -53,44 +54,50 @@ class CorruptBlobError(Exception):
     """The byte stream is not a structurally valid blob."""
 
 
-def pack_words(words: Iterable[int], n: int) -> bytes:
-    """Pack n-bit ints contiguously, MSB-first, zero-padding the last byte."""
-    out = bytearray()
-    acc = 0
-    acc_bits = 0
-    for w in words:
-        acc = (acc << n) | w
-        acc_bits += n
-        while acc_bits >= 8:
-            acc_bits -= 8
-            out.append((acc >> acc_bits) & 0xFF)
-    if acc_bits:
-        out.append((acc << (8 - acc_bits)) & 0xFF)
-    return bytes(out)
+def _to_payload(bits: str) -> bytes:
+    """A '0'/'1' string as bytes, MSB-first, zero-padding the last byte."""
+    pad = -len(bits) % 8
+    return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
-def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
-    """Inverse of pack_words; checks length and zero padding."""
+def _slices(payload: bytes, n: int, count: int) -> list[str]:
+    """The payload as count n-bit '0'/'1' strings; checks length and zero
+    padding."""
+    if n < 1:
+        raise ValueError(f"word width must be at least 1, got {n}")
     need = (count * n + 7) // 8
     if len(payload) < need:
         raise CorruptBlobError(f"payload truncated: {len(payload)} bytes, need {need}")
     if len(payload) > need:
         raise CorruptBlobError(f"payload has {len(payload) - need} trailing bytes")
-    words = []
-    acc = 0
-    acc_bits = 0
-    pos = 0
-    for _ in range(count):
-        while acc_bits < n:
-            acc = (acc << 8) | payload[pos]
-            pos += 1
-            acc_bits += 8
-        acc_bits -= n
-        words.append((acc >> acc_bits) & ((1 << n) - 1))
-        acc &= (1 << acc_bits) - 1
-    if acc or any(payload[pos:]):
+    pad = 8 * need - count * n
+    acc = int.from_bytes(payload, "big")
+    if acc & ((1 << pad) - 1):
         raise CorruptBlobError("nonzero padding bits")
-    return words
+    if not count:
+        return []
+    return re.findall(f".{{{n}}}", format(acc >> pad, f"0{count * n}b"))
+
+
+def pack_words(words: Iterable[int], n: int) -> bytes:
+    """Pack n-bit ints contiguously, MSB-first, zero-padding the last byte."""
+    if n < 1:
+        raise ValueError(f"word width must be at least 1, got {n}")
+    words = list(words)
+    # format() once per distinct word: a codeword stream holds at most 2^b
+    as_str = {w: format(w, f"0{n}b") for w in set(words)}
+    if as_str and (min(as_str) < 0 or max(as_str) >> n):
+        bad = next(w for w in words if not 0 <= w < 1 << n)
+        raise ValueError(f"word {bad} does not fit in {n} bits")
+    return _to_payload("".join([as_str[w] for w in words]))
+
+
+def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
+    """Inverse of pack_words; checks length and zero padding."""
+    slices = _slices(payload, n, count)
+    # int() once per distinct slice: a codeword payload holds at most 2^b
+    as_int = {s: int(s, 2) for s in set(slices)}
+    return [as_int[s] for s in slices]
 
 
 @dataclass(frozen=True)
@@ -131,14 +138,20 @@ class EncodedBlob:
             pos += k
             return chunk
 
+        def text(k: int, what: str) -> str:
+            try:
+                return take(k, what).decode()
+            except UnicodeDecodeError:
+                raise CorruptBlobError(f"{what} is not valid UTF-8") from None
+
         pos = 0
         if take(len(MAGIC), "magic") != MAGIC:
             raise CorruptBlobError("bad magic")
         (cid_len,) = struct.unpack(">B", take(1, "code_id length"))
-        code_id = take(cid_len, "code_id").decode()
+        code_id = text(cid_len, "code_id")
         bits, n, count = struct.unpack(">BBQ", take(10, "header"))
         (lid_len,) = struct.unpack(">H", take(2, "layer_id length"))
-        layer_id = take(lid_len, "layer_id").decode()
+        layer_id = text(lid_len, "layer_id")
         payload = data[pos:]
         need = (count * n + 7) // 8
         if len(payload) != need:
@@ -163,9 +176,13 @@ class VerifyReport:
 
 def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> EncodedBlob:
     """Encode quantized values into a blob under the given map."""
-    words = [encode_value(m, v).bits for v in values]
-    payload = pack_words(words, m.code.n)
-    return EncodedBlob(m.code_id, m.b, m.code.n, len(values), layer_id, payload)
+    half = 1 << (m.b - 1)
+    if values and (min(values) < -half or max(values) >= half):
+        for v in values:
+            encode_value(m, v)  # raises for the first value out of range
+    strings = m.codeword_strings
+    bits = "".join([strings[v] for v in values])
+    return EncodedBlob(m.code_id, m.b, m.code.n, len(values), layer_id, _to_payload(bits))
 
 
 def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
@@ -176,12 +193,19 @@ def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
         )
 
 
+def _scan(m: EncodingMap, blob: EncodedBlob) -> tuple[list[int | None], tuple[int, ...]]:
+    """Every slice's signed value (None for a non-codeword) and the indices
+    of the non-codewords."""
+    _check_header(m, blob)
+    values = list(map(m.string_values.get, _slices(blob.payload, blob.n, blob.count)))
+    if None not in values:
+        return values, ()
+    return values, tuple(i for i, v in enumerate(values) if v is None)
+
+
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:
     """Flag every slice of the payload that is not a codeword."""
-    _check_header(m, blob)
-    words = unpack_words(blob.payload, blob.n, blob.count)
-    lookup = m.inverse
-    bad = tuple(i for i, w in enumerate(words) if w not in lookup)
+    _, bad = _scan(m, blob)
     return VerifyReport(not bad, bad, blob.count)
 
 
@@ -190,13 +214,8 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
 
     No partial output: one corrupted slice suppresses all values.
     """
-    _check_header(m, blob)
-    words = unpack_words(blob.payload, blob.n, blob.count)
-    lookup = m.inverse
-    bad = tuple(i for i, w in enumerate(words) if w not in lookup)
-    if bad:
-        return VerifyReport(False, bad, blob.count)
-    return [signed_value(lookup[w], m.b) for w in words]
+    values, bad = _scan(m, blob)
+    return VerifyReport(False, bad, blob.count) if bad else values
 
 
 def timed_verify(m: EncodingMap, blob: EncodedBlob) -> tuple[VerifyReport, float]:

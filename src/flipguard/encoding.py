@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .codes import BinaryCode, BitWord, build_code, code_shape, hamming_distance
-from .quantize import flip_count
+from .quantize import flip_count, signed_value
 
 __all__ = [
     "DetectionReport",
@@ -86,6 +86,17 @@ class EncodingMap:
     def inverse(self) -> dict[int, int]:
         """Codeword bits back to the unsigned pattern value."""
         return {w.bits: k for k, w in enumerate(self.table)}
+
+    @cached_property
+    def codeword_strings(self) -> tuple[str, ...]:
+        """``table`` as '0'/'1' strings. Being indexed by unsigned pattern,
+        it also maps an in-range signed value v to its codeword as ``[v]``."""
+        return tuple(format(w.bits, f"0{self.code.n}b") for w in self.table)
+
+    @cached_property
+    def string_values(self) -> dict[str, int]:
+        """Codeword '0'/'1' string back to its signed value."""
+        return {s: signed_value(k, self.b) for k, s in enumerate(self.codeword_strings)}
 
 
 @dataclass(frozen=True)

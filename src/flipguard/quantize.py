@@ -45,9 +45,10 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
     """
     if not math.isfinite(omega):
         raise ValueError(f"weight must be finite, got {omega}")
-    lo, hi = value_range(cfg.bits)
+    # cfg.bits was validated by QuantConfig
+    half = 1 << (cfg.bits - 1)
     v = round(omega / cfg.delta)
-    return min(max(v, lo), hi)
+    return -half if v < -half else half - 1 if v >= half else v
 
 
 def twos_complement_bits(v: int, b: int) -> BitWord:

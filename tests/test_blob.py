@@ -78,6 +78,18 @@ class TestPacking:
         with pytest.raises(CorruptBlobError):
             unpack_words(b"\xff", 7, 1)
 
+    @pytest.mark.parametrize("word", [0xFF, 0x80, -1, 1 << 20])
+    def test_word_wider_than_n_is_rejected(self, word):
+        with pytest.raises(ValueError, match="does not fit in 7 bits"):
+            pack_words([0, word, 1], 7)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_width_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            pack_words([0], n)
+        with pytest.raises(ValueError, match="at least 1"):
+            unpack_words(b"", n, 1)
+
 
 class TestBlobFormat:
     def blob(self, values=(-8, 0, 7), layer="conv1/weight"):
@@ -110,6 +122,13 @@ class TestBlobFormat:
         for cut in range(len(data)):
             with pytest.raises(CorruptBlobError):
                 EncodedBlob.from_bytes(data[:cut])
+
+    @pytest.mark.parametrize("field,text", [("code_id", b"C7_3"), ("layer_id", b"conv1")])
+    def test_non_utf8_id_is_corruption(self, field, text):
+        data = bytearray(self.blob(layer="conv1/weight").to_bytes())
+        data[data.index(text)] ^= 0x80  # an ASCII byte becomes a lone continuation byte
+        with pytest.raises(CorruptBlobError, match=f"{field} is not valid UTF-8"):
+            EncodedBlob.from_bytes(bytes(data))
 
     def test_surplus_bytes_fail(self):
         with pytest.raises(CorruptBlobError):

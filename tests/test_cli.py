@@ -124,6 +124,16 @@ class TestEncodeVerifyDecode:
         assert code == 2
         assert "corrupt blob" in err
 
+    def test_non_utf8_code_id_exits_2(self, capsys, tmp_path):
+        blob_path = self.encode(capsys, tmp_path, [1, 2, 3])
+        raw = bytearray(blob_path.read_bytes())
+        raw[9] ^= 0x80  # top bit of the 'C' in the code id
+        blob_path.write_bytes(raw)
+        code, out, err = run(capsys, "verify", "--in", str(blob_path))
+        assert code == 2
+        assert out == ""
+        assert "corrupt blob: code_id is not valid UTF-8" in err
+
     def test_out_of_range_value(self, capsys, tmp_path):
         src = tmp_path / "values.txt"
         src.write_text("99")
