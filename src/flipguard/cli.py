@@ -15,6 +15,7 @@ from pathlib import Path
 from .blob import (
     CorruptBlobError,
     EncodedBlob,
+    VerifyReport,
     decode_tensor,
     encode_tensor,
     overhead_report,
@@ -22,7 +23,7 @@ from .blob import (
 )
 from .codes import CODE_IDS, code_shape
 from .encoding import (
-    DistanceMatrix,
+    EncodingMap,
     canonical_map,
     codebook_lines,
     distance_matrix,
@@ -38,6 +39,7 @@ from .traces import (
     synthesize_trace,
     trace_stats,
     trace_to_json,
+    trace_width,
 )
 
 
@@ -60,17 +62,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _matrix_lines(m: DistanceMatrix, fmt: str) -> list[str]:
-    half = 1 << (m.b - 1)
+def _matrix_lines(b: int, rows, fmt: str) -> list[str]:
+    """A square matrix whose rows and columns are the signed b-bit values."""
+    half = 1 << (b - 1)
     labels = [str(v) for v in range(-half, half)]
     if fmt == "csv":
         lines = ["," + ",".join(labels)]
-        for lab, row in zip(labels, m.entries):
+        for lab, row in zip(labels, rows):
             lines.append(lab + "," + ",".join(str(x) for x in row))
         return lines
     width = max(len(lab) for lab in labels) + 1
     lines = [" " * width + "".join(f"{lab:>{width}}" for lab in labels)]
-    for lab, row in zip(labels, m.entries):
+    for lab, row in zip(labels, rows):
         lines.append(f"{lab:>{width}}" + "".join(f"{x:>{width}}" for x in row))
     return lines
 
@@ -81,6 +84,27 @@ def _read_values(path: str) -> list[int]:
         return [int(t) for t in tokens]
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+
+
+def _load_blob(path: str) -> tuple[EncodedBlob, EncodingMap]:
+    """The blob stored at path and its code's map. Header damage that still
+    parses (an unknown code id, or a shape not the code's) is corruption."""
+    blob = EncodedBlob.from_bytes(Path(path).read_bytes())
+    if blob.code_id not in CODE_IDS:
+        raise CorruptBlobError(f"unknown code id {blob.code_id!r}")
+    if (blob.bits, blob.n) != code_shape(blob.code_id):
+        raise CorruptBlobError(
+            f"header (b={blob.bits}, n={blob.n}) does not match {blob.code_id}"
+        )
+    return blob, canonical_map(blob.code_id)
+
+
+def _print_report(report: VerifyReport) -> None:
+    print(json.dumps({
+        "clean": report.clean,
+        "corrupted_indices": list(report.corrupted_indices),
+        "scanned": report.scanned,
+    }, sort_keys=True))
 
 
 def _gather_traces(args) -> list[AttackTrace]:
@@ -113,7 +137,7 @@ def cmd_distances(args) -> int:
         m = distance_matrix(canonical_map(args.code))
     else:
         m = twos_complement_matrix(args.bits)
-    _emit("\n".join(_matrix_lines(m, args.format)) + "\n", args.out)
+    _emit("\n".join(_matrix_lines(m.b, m.entries, args.format)) + "\n", args.out)
     return 0
 
 
@@ -127,32 +151,22 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    blob = EncodedBlob.from_bytes(Path(args.infile).read_bytes())
-    m = canonical_map(blob.code_id)
+    blob, m = _load_blob(args.infile)
     result = decode_tensor(m, blob)
     if isinstance(result, list):
         _emit("\n".join(str(v) for v in result) + ("\n" if result else ""), args.out)
         _say(f"decoded {len(result)} values, clean")
         return 0
-    print(json.dumps({
-        "clean": False,
-        "corrupted_indices": list(result.corrupted_indices),
-        "scanned": result.scanned,
-    }, sort_keys=True))
+    _print_report(result)
     _say(f"corruption detected at {len(result.corrupted_indices)} of "
          f"{result.scanned} indices; no values written")
     return 2
 
 
 def cmd_verify(args) -> int:
-    blob = EncodedBlob.from_bytes(Path(args.infile).read_bytes())
-    m = canonical_map(blob.code_id)
+    blob, m = _load_blob(args.infile)
     report = verify_blob(m, blob)
-    print(json.dumps({
-        "clean": report.clean,
-        "corrupted_indices": list(report.corrupted_indices),
-        "scanned": report.scanned,
-    }, sort_keys=True))
+    _print_report(report)
     if report.clean:
         _say(f"{args.infile}: clean ({report.scanned} codewords)")
         return 0
@@ -162,9 +176,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze_trace(args) -> int:
     traces = _gather_traces(args)
-    b = traces[0].meta.b
-    if any(t.meta.b != b for t in traces):
-        raise ValueError("traces mix bit widths")
+    b = trace_width(traces)
     out = {
         "traces": len(traces),
         "changes": sum(len(t.changes) for t in traces),
@@ -179,12 +191,7 @@ def cmd_analyze_trace(args) -> int:
             out["amplification"] = out["protected"]["avg"] / out["unprotected"]["avg"]
     print(json.dumps(out, sort_keys=True, indent=2))
     if args.pair_freq:
-        counts = pair_frequency(traces)
-        half = 1 << (b - 1)
-        labels = [str(v) for v in range(-half, half)]
-        lines = ["," + ",".join(labels)]
-        for lab, row in zip(labels, counts):
-            lines.append(lab + "," + ",".join(str(x) for x in row))
+        lines = _matrix_lines(b, pair_frequency(traces), "csv")
         Path(args.pair_freq).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _say(f"pair frequencies written to {args.pair_freq}")
     _say(f"analyzed {len(traces)} trace(s), {out['changes']} changes")

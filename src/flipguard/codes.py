@@ -28,6 +28,7 @@ __all__ = [
     "pairwise_min_distance",
     "shorten_code",
     "shorten_words",
+    "span_table",
 ]
 
 MAX_WORD_LEN = 64
@@ -118,25 +119,24 @@ def _reduce(word: int, pivots: dict[int, int]) -> int:
     return word
 
 
-def _independent_basis(rows: Iterable[int]) -> dict[int, int]:
-    """Pivot-keyed basis of the span; raises if any input row is dependent."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        reduced = _reduce(row, pivots)
-        if reduced == 0:
-            raise ValueError("generator rows are linearly dependent")
-        pivots[reduced.bit_length() - 1] = reduced
-    return pivots
-
-
-def _span_basis(words: Iterable[int]) -> list[int]:
-    """Basis of the span of an arbitrary word collection (dependents dropped)."""
+def _pivots(words: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the span keyed by pivot bit position; dependent
+    words are dropped."""
     pivots: dict[int, int] = {}
     for word in words:
         reduced = _reduce(word, pivots)
         if reduced:
             pivots[reduced.bit_length() - 1] = reduced
-    return [pivots[p] for p in sorted(pivots, reverse=True)]
+    return pivots
+
+
+def span_table(rows: Sequence[int]) -> list[int]:
+    """All 2^len(rows) XOR combinations: entry k XORs the rows that k's set
+    bits pick, rows[0] being picked by the most significant bit."""
+    table = [0]
+    for row in reversed(rows):
+        table += [w ^ row for w in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,8 @@ class BinaryCode:
             raise ValueError("generator row length differs from code length")
         if len(self.generator) > self.n:
             raise ValueError("more generator rows than coordinates")
-        _independent_basis(g.bits for g in self.generator)
+        if len(self._pivots) != len(self.generator):
+            raise ValueError("generator rows are linearly dependent")
 
     @property
     def dimension(self) -> int:
@@ -174,22 +175,15 @@ class BinaryCode:
             raise ValueError(
                 f"refusing to enumerate 2^{self.dimension} codewords"
             )
-        span = [0]
-        for g in self.generator:
-            span += [w ^ g.bits for w in span]
+        span = span_table([g.bits for g in self.generator])
         return tuple(BitWord(w, self.n) for w in sorted(span))
 
     @cached_property
-    def _codeword_bits(self) -> frozenset[int]:
-        return frozenset(w.bits for w in self.codewords)
+    def _pivots(self) -> dict[int, int]:
+        return _pivots(g.bits for g in self.generator)
 
     def __contains__(self, word: BitWord) -> bool:
-        if word.n != self.n:
-            return False
-        if self.dimension <= _ENUM_DIM_LIMIT:
-            return word.bits in self._codeword_bits
-        pivots = _independent_basis(g.bits for g in self.generator)
-        return _reduce(word.bits, pivots) == 0
+        return word.n == self.n and _reduce(word.bits, self._pivots) == 0
 
     @cached_property
     def min_distance(self) -> int:
@@ -320,11 +314,12 @@ def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
     of 2 per position.
     """
     survivors = shorten_words(c.codewords, positions)
-    basis = _span_basis(w.bits for w in survivors)
-    if not basis:
+    pivots = _pivots(w.bits for w in survivors)
+    if not pivots:
         raise ValueError("shortening left only the zero word")
     width = c.n - len(positions)
-    return BinaryCode(width, tuple(BitWord(b, width) for b in basis))
+    rows = (pivots[p] for p in sorted(pivots, reverse=True))
+    return BinaryCode(width, tuple(BitWord(r, width) for r in rows))
 
 
 def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) -> BinaryCode:
@@ -338,14 +333,10 @@ def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) ->
     words = c.codewords  # sorted; words[0] is the zero word
     rng = random.Random(seed)
     chosen: list[BitWord] = []
-    pivots: dict[int, int] = {}
     while len(chosen) < dim:
         pick = words[rng.randrange(1, len(words))]
-        reduced = _reduce(pick.bits, pivots)
-        if reduced == 0:
-            continue
-        pivots[reduced.bit_length() - 1] = reduced
-        chosen.append(pick)
+        if len(_pivots(w.bits for w in (*chosen, pick))) > len(chosen):
+            chosen.append(pick)
     return BinaryCode(c.n, tuple(chosen))
 
 

@@ -1,9 +1,10 @@
 """Maps from b-bit quantized values onto codewords, plus distance tables.
 
 A map's table is indexed by the unsigned value of the b-bit two's-complement
-pattern (pattern bit 1 = MSB). The three 4-bit codebooks are frozen
-constants; the 8-bit ones are derived by greedy basis assignment over the
-frozen code constructions.
+pattern (pattern bit 1 = MSB). Every map is GF(2)-linear, so its table is
+the span of the images of the b unit patterns. The images of the three
+4-bit maps are frozen constants; the 8-bit ones are derived by greedy basis
+assignment over the frozen code constructions.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, build_code, code_shape, hamming_distance
+from .codes import BinaryCode, BitWord, build_code, code_shape, hamming_distance, span_table
 from .quantize import flip_count, signed_value
 
 __all__ = [
@@ -28,13 +29,14 @@ __all__ = [
     "twos_complement_matrix",
 ]
 
-# Frozen codebooks for the 4-bit codes, one hex word per value,
-# ordered by signed value ascending from -8. The 8-bit codebooks are not
-# frozen; they fall out of greedy_basis deterministically.
-_CANONICAL_ROWS = {
-    "C7_3": "7F 34 68 23 1A 51 0D 46 00 4B 17 5C 65 2E 72 39",
-    "C8_4": "FF B4 E8 A3 9A D1 8D C6 00 4B 17 5C 65 2E 72 39",
-    "C9_4": "1EF 1F0 193 18C 155 14A 129 136 000 01F 07C 063 0BA 0A5 0C6 0D9",
+# Frozen images of the unit patterns e1..e4 (e1 = sign bit, i.e. the values
+# -8, 4, 2, 1) for the 4-bit codes; by linearity they fix all 16 codewords.
+# The 8-bit maps are not frozen; they fall out of greedy_basis
+# deterministically.
+_CANONICAL_IMAGES = {
+    "C7_3": "7F 65 17 4B",
+    "C8_4": "FF 65 17 4B",
+    "C9_4": "1EF 0BA 07C 01F",
 }
 
 
@@ -69,13 +71,8 @@ class EncodingMap:
         if any(w not in self.code for w in self.table):
             raise ValueError("table entry is not a codeword")
         # Linearity: the whole table must be the span of the unit images.
-        for k in range(1 << self.b):
-            acc = 0
-            for i in range(self.b):
-                if (k >> (self.b - 1 - i)) & 1:
-                    acc ^= self.basis_images[i].bits
-            if acc != self.table[k].bits:
-                raise ValueError("table is not GF(2)-linear")
+        if [w.bits for w in self.table] != span_table([w.bits for w in self.basis_images]):
+            raise ValueError("table is not GF(2)-linear")
 
     @cached_property
     def basis_images(self) -> tuple[BitWord, ...]:
@@ -121,19 +118,10 @@ def build_from_basis(
     b = code.dimension
     if len(basis_images) != b:
         raise ValueError(f"need {b} basis images, got {len(basis_images)}")
-    for img in basis_images:
-        if img not in code:
-            raise ValueError(f"{img} is not a codeword")
-    table = []
-    for k in range(1 << b):
-        acc = 0
-        for i in range(b):
-            if (k >> (b - 1 - i)) & 1:
-                acc ^= basis_images[i].bits
-        table.append(BitWord(acc, code.n))
-    if len({w.bits for w in table}) != len(table):
-        raise ValueError("basis images are linearly dependent")
-    return EncodingMap(code, b, tuple(table), code_id)
+    if any(img.n != code.n for img in basis_images):
+        raise ValueError(f"basis images must be {code.n}-bit words")
+    table = tuple(BitWord(w, code.n) for w in span_table([img.bits for img in basis_images]))
+    return EncodingMap(code, b, table, code_id)
 
 
 def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
@@ -155,33 +143,19 @@ def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
     raise ValueError("code has no basis")  # unreachable for a valid code
 
 
-def _map_from_row(code_id: str, code: BinaryCode, row: str) -> EncodingMap:
-    b, n = code_shape(code_id)
-    words = tuple(BitWord.from_hex(tok, n) for tok in row.split())
-    half = 1 << (b - 1)
-    # Row order is signed ascending; table order is unsigned pattern value.
-    table = tuple(words[((k + half) % (2 * half))] for k in range(2 * half))
-    return EncodingMap(code, b, table, code_id)
-
-
 @lru_cache(maxsize=None)
 def canonical_map(code_id: str) -> EncodingMap:
     """The frozen map for one of the six code ids.
 
-    The 4-bit tables are constants. The published 9-bit codebook contains
-    odd-weight words, so it spans its own (9, 16, 4) code rather than a
-    subset of the even-weight shortened construction; its map is therefore
-    built over the span of its images.
+    A 4-bit map is built over the span of its frozen images. For C7_3 and
+    C8_4 that span is the code of ``build_code``. The published 9-bit
+    codebook contains odd-weight words, so it spans its own (9, 16, 4) code
+    rather than a subset of the even-weight shortened construction.
     """
-    b, n = code_shape(code_id)
-    if code_id in ("C7_3", "C8_4"):
-        return _map_from_row(code_id, build_code(code_id), _CANONICAL_ROWS[code_id])
-    if code_id == "C9_4":
-        row = _CANONICAL_ROWS[code_id]
-        words = [BitWord.from_hex(tok, n) for tok in row.split()]
-        images = tuple(words[(((1 << (b - 1 - i)) + 8) % 16)] for i in range(b))
-        span_code = BinaryCode(n, images)
-        return _map_from_row(code_id, span_code, row)
+    _, n = code_shape(code_id)
+    if code_id in _CANONICAL_IMAGES:
+        images = tuple(BitWord.from_hex(h, n) for h in _CANONICAL_IMAGES[code_id].split())
+        return build_from_basis(BinaryCode(n, images), images, code_id)
     code = build_code(code_id)
     return build_from_basis(code, greedy_basis(code), code_id)
 
@@ -205,8 +179,7 @@ def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
     if k is None:
         nearest = min(hamming_distance(word, w) for w in m.table)
         return DetectionReport(word, nearest)
-    half = 1 << (m.b - 1)
-    return k - 2 * half if k >= half else k
+    return signed_value(k, m.b)
 
 
 def distance_matrix(m: EncodingMap) -> DistanceMatrix:

@@ -47,7 +47,10 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
         raise ValueError(f"weight must be finite, got {omega}")
     # cfg.bits was validated by QuantConfig
     half = 1 << (cfg.bits - 1)
-    v = round(omega / cfg.delta)
+    try:
+        v = round(omega / cfg.delta)
+    except OverflowError:  # omega / delta overflowed to +-inf
+        v = half if omega > 0 else -half
     return -half if v < -half else half - 1 if v >= half else v
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "synthesize_trace",
     "trace_stats",
     "trace_to_json",
+    "trace_width",
 ]
 
 # Observed Rowhammer productivity on DRAM: usable bit flips per second.
@@ -65,6 +66,9 @@ class TraceMeta:
     model: str
     dataset: str
 
+    def __post_init__(self) -> None:
+        value_range(self.b)
+
 
 @dataclass(frozen=True)
 class WeightChange:
@@ -77,7 +81,7 @@ class WeightChange:
         if self.index < 0:
             raise ValueError(f"index must be nonnegative, got {self.index}")
         if self.old == self.new:
-            raise ValueError(f"change at index {self.index} leaves the value alone")
+            raise ValueError(f"old and new are both {self.old}")
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,12 @@ class AttackTrace:
 
     def __post_init__(self) -> None:
         lo, hi = value_range(self.meta.b)
-        for c in self.changes:
-            for side, v in (("old", c.old), ("new", c.new)):
-                if not lo <= v <= hi:
-                    raise ValueError(
-                        f"{side} value {v} at index {c.index} outside [{lo}, {hi}]"
-                    )
+        for i, c in enumerate(self.changes):
+            if not (lo <= c.old <= hi and lo <= c.new <= hi):
+                side, v = ("new", c.new) if lo <= c.old <= hi else ("old", c.old)
+                raise ValueError(
+                    f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}"
+                )
 
 
 def _want(obj: Mapping, key: str, kind: type, where: str):
@@ -108,7 +112,8 @@ def _want(obj: Mapping, key: str, kind: type, where: str):
 
 
 def parse_trace(text: str) -> AttackTrace:
-    """Parse and validate a trace document from JSON text."""
+    """Parse and validate a trace document from JSON text. The dataclasses
+    check the values; their errors come back with the field path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -116,14 +121,12 @@ def parse_trace(text: str) -> AttackTrace:
     if not isinstance(doc, dict):
         raise TraceParseError(f"top level: expected object, got {type(doc).__name__}")
     meta_obj = _want(doc, "meta", dict, "top level")
-    meta = TraceMeta(
-        method=_want(meta_obj, "method", str, "meta"),
-        b=_want(meta_obj, "b", int, "meta"),
-        model=_want(meta_obj, "model", str, "meta"),
-        dataset=_want(meta_obj, "dataset", str, "meta"),
-    )
+    method = _want(meta_obj, "method", str, "meta")
+    b = _want(meta_obj, "b", int, "meta")
+    model = _want(meta_obj, "model", str, "meta")
+    dataset = _want(meta_obj, "dataset", str, "meta")
     try:
-        lo, hi = value_range(meta.b)
+        meta = TraceMeta(method, b, model, dataset)
     except ValueError as e:
         raise TraceParseError(f"meta.b: {e}") from None
     raw_changes = _want(doc, "changes", list, "top level")
@@ -136,17 +139,14 @@ def parse_trace(text: str) -> AttackTrace:
         index = _want(entry, "index", int, where)
         old = _want(entry, "old", int, where)
         new = _want(entry, "new", int, where)
-        for key, v in (("old", old), ("new", new)):
-            if not lo <= v <= hi:
-                raise TraceParseError(
-                    f"{where}.{key}: expected integer in [{lo}, {hi}], got {v}"
-                )
-        if old == new:
-            raise TraceParseError(f"{where}: old and new are both {old}")
-        if index < 0:
-            raise TraceParseError(f"{where}.index: must be nonnegative, got {index}")
-        changes.append(WeightChange(layer, index, old, new))
-    return AttackTrace(meta, tuple(changes))
+        try:
+            changes.append(WeightChange(layer, index, old, new))
+        except ValueError as e:
+            raise TraceParseError(f"{where}: {e}") from None
+    try:
+        return AttackTrace(meta, tuple(changes))
+    except ValueError as e:  # the message carries the field path
+        raise TraceParseError(str(e)) from None
 
 
 def load_trace(path) -> AttackTrace:
@@ -286,15 +286,20 @@ def synthesize_trace(
     return AttackTrace(meta, tuple(changes))
 
 
-def pair_frequency(traces: Iterable[AttackTrace]) -> list[list[int]]:
-    """(old, new) change counts, rows and columns ascending by signed value."""
-    traces = list(traces)
+def trace_width(traces: Sequence[AttackTrace]) -> int:
+    """The bit width shared by all the traces."""
     if not traces:
         raise ValueError("need at least one trace")
     b = traces[0].meta.b
     if any(t.meta.b != b for t in traces):
         raise ValueError("traces mix bit widths")
-    half = 1 << (b - 1)
+    return b
+
+
+def pair_frequency(traces: Iterable[AttackTrace]) -> list[list[int]]:
+    """(old, new) change counts, rows and columns ascending by signed value."""
+    traces = list(traces)
+    half = 1 << (trace_width(traces) - 1)
     counts = [[0] * (2 * half) for _ in range(2 * half)]
     for t in traces:
         for c in t.changes:

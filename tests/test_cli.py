@@ -152,6 +152,44 @@ class TestEncodeVerifyDecode:
         code, _, err = run(capsys, "decode", "--in", str(tmp_path / "absent.bin"))
         assert code == 1
 
+    def encode_layer(self, capsys, tmp_path):
+        """A 64-value C7_3 blob whose layer id is C7_3.r10."""
+        src = tmp_path / "values.txt"
+        src.write_text(" ".join(str(i % 16 - 8) for i in range(64)))
+        blob_path = tmp_path / "layer.bin"
+        code, _, _ = run(capsys, "encode", "--code", "C7_3", "--in", str(src),
+                         "--out", str(blob_path), "--layer", "C7_3.r10")
+        assert code == 0
+        return blob_path.read_bytes()
+
+    def test_every_header_flip_before_the_layer_id_exits_2(self, capsys, tmp_path):
+        raw = self.encode_layer(capsys, tmp_path)
+        head = raw.index(b"C7_3.r10")  # magic .. layer_id length
+        assert head == 25
+        damaged = tmp_path / "damaged.bin"
+        codes = []
+        for bit in range(8 * head):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            damaged.write_bytes(flipped)
+            codes.append(run(capsys, "verify", "--in", str(damaged))[0])
+        assert codes == [2] * 200
+
+    @pytest.mark.parametrize("offset, mask, message", [
+        (9, 0x20, "unknown code id 'c7_3'"),  # 'C' -> 'c'
+        (13, 0x01, "header (b=5, n=7) does not match C7_3"),
+    ])
+    def test_parseable_header_damage_is_corruption(self, capsys, tmp_path,
+                                                   offset, mask, message):
+        raw = bytearray(self.encode_layer(capsys, tmp_path))
+        raw[offset] ^= mask
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(raw)
+        for command in ("verify", "decode"):
+            code, out, err = run(capsys, command, "--in", str(damaged))
+            assert code == 2 and out == ""
+            assert f"corrupt blob: {message}" in err
+
 
 class TestAnalyzeTrace:
     def test_fixture_unprotected(self, capsys):

@@ -299,3 +299,14 @@ class TestBinaryCodeValidation:
         assert 0 in bits
         assert all(a ^ b in bits for a in bits for b in bits)
         assert len(bits) == 1 << c.dimension
+
+
+@pytest.mark.parametrize("code", [
+    build_code("C7_3"),
+    build_code("C9_4"),
+    BinaryCode(9, tuple(BitWord.from_hex(h, 9) for h in ("1EF", "0BA", "07C", "01F"))),
+], ids=["C7_3", "C9_4", "C9_4-published"])
+def test_membership_agrees_with_codewords(code):
+    members = {w.bits for w in code.codewords}
+    for bits in range(1 << code.n):
+        assert (BitWord(bits, code.n) in code) == (bits in members)

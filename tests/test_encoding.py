@@ -114,6 +114,16 @@ class TestCanonicalMaps:
         m = canonical_map(code_id)
         assert {w.bits for w in m.table} == {w.bits for w in m.code.codewords}
 
+    @pytest.mark.parametrize("code_id, images", [
+        ("C7_3", "7F 65 17 4B"),
+        ("C8_4", "FF 65 17 4B"),
+    ])
+    def test_frozen_images_span_the_construction(self, code_id, images):
+        m = canonical_map(code_id)
+        assert " ".join(w.hex() for w in m.basis_images) == images
+        span = BinaryCode(m.code.n, m.basis_images)
+        assert span.codewords == build_code(code_id).codewords
+
     def test_published_9_bit_code_is_not_even_weight(self):
         # contains weight-5 words, so it spans its own (9,16,4) code rather
         # than a shortened extended Hamming subset

@@ -131,6 +131,14 @@ class TestQuantize:
         assert quantize(-1.25, cfg) == -2
         assert quantize(-1.75, cfg) == -4
 
+    def test_overflowing_ratio_clamps(self):
+        # omega / delta overflows to +-inf for these finite inputs
+        for omega, delta in ((1e300, 1e-300), (1.0, 5e-324)):
+            assert quantize(omega, QuantConfig(4, delta)) == 7
+            assert quantize(-omega, QuantConfig(4, delta)) == -8
+            assert quantize(omega, QuantConfig(8, delta)) == 127
+            assert quantize(-omega, QuantConfig(8, delta)) == -128
+
     def test_non_finite_weight(self):
         cfg = QuantConfig(4, 0.1)
         for omega in (math.inf, -math.inf, math.nan):

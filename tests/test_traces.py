@@ -91,6 +91,20 @@ class TestParse:
         with pytest.raises(TraceParseError, match="both -1"):
             parse_trace(self.make_doc(new=-1))
 
+    def test_later_change_out_of_range_names_its_path(self):
+        doc = json.loads(self.make_doc())
+        doc["changes"].append({"layer": "l", "index": 1, "old": 0, "new": 8})
+        with pytest.raises(TraceParseError, match=r"changes\[1\]\.new"):
+            parse_trace(json.dumps(doc))
+
+    def test_dataclasses_validate_directly(self):
+        with pytest.raises(ValueError, match="bit width"):
+            TraceMeta("m", 5, "x", "d")
+        with pytest.raises(ValueError, match=r"changes\[0\]\.old"):
+            make_trace([("l", 0, -9, 0)])
+        with pytest.raises(ValueError, match="both 3"):
+            WeightChange("l", 0, 3, 3)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceParseError):
             load_trace(tmp_path / "absent.json")
