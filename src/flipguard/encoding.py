@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, build_code, code_shape, hamming_distance, span_table
+from .codes import BinaryCode, BitWord, _reduce, build_code, code_shape, hamming_distance, span_table
 from .quantize import flip_count, signed_value
 
 __all__ = [
@@ -132,12 +132,13 @@ def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
         (w for w in code.codewords if w.bits), key=lambda w: (-w.weight, w.bits)
     )
     chosen: list[BitWord] = []
-    span = {0}
+    pivots: dict[int, int] = {}
     for w in candidates:
-        if w.bits in span:
+        reduced = _reduce(w.bits, pivots)
+        if not reduced:  # in the span of those chosen
             continue
         chosen.append(w)
-        span |= {w.bits ^ s for s in span}
+        pivots[reduced.bit_length() - 1] = reduced
         if len(chosen) == code.dimension:
             return tuple(chosen)
     raise ValueError("code has no basis")  # unreachable for a valid code

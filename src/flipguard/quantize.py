@@ -9,6 +9,7 @@ from .codes import BitWord
 __all__ = [
     "QuantConfig",
     "flip_count",
+    "flip_pattern",
     "quantize",
     "signed_value",
     "twos_complement_bits",
@@ -70,6 +71,15 @@ def signed_value(pattern: int, b: int) -> int:
     return pattern - (1 << b) if pattern >= half else pattern
 
 
+def flip_pattern(u: int, v: int, b: int) -> int:
+    """The bits that differ between the b-bit patterns of u and v."""
+    lo, hi = value_range(b)
+    for x in (u, v):
+        if not lo <= x <= hi:
+            raise ValueError(f"value {x} out of range [{lo}, {hi}]")
+    return (u ^ v) & ((1 << b) - 1)
+
+
 def flip_count(u: int, v: int, b: int) -> int:
     """Bit flips needed to turn the pattern of u into the pattern of v."""
-    return (twos_complement_bits(u, b).bits ^ twos_complement_bits(v, b).bits).bit_count()
+    return flip_pattern(u, v, b).bit_count()

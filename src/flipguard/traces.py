@@ -7,7 +7,9 @@ A trace is a JSON document:
 
 Replay cost is the total number of bit flips the recorded weight changes
 need under a chosen representation: plain two's complement, or one of the
-encoding maps.
+encoding maps. Both are GF(2)-linear, so a change costs the weight of the
+image of its flip pattern ``old ^ new``: the pattern's own weight in two's
+complement, the weight of its codeword under a map.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .encoding import EncodingMap
-from .quantize import flip_count, signed_value, twos_complement_bits, value_range
+from .quantize import flip_pattern, signed_value, twos_complement_bits, value_range
 
 __all__ = [
     "AttackTrace",
@@ -132,17 +134,24 @@ def parse_trace(text: str) -> AttackTrace:
     raw_changes = _want(doc, "changes", list, "top level")
     changes = []
     for i, entry in enumerate(raw_changes):
-        where = f"changes[{i}]"
-        if not isinstance(entry, dict):
-            raise TraceParseError(f"{where}: expected object, got {type(entry).__name__}")
-        layer = _want(entry, "layer", str, where)
-        index = _want(entry, "index", int, where)
-        old = _want(entry, "old", int, where)
-        new = _want(entry, "new", int, where)
+        # json.loads yields exact types, so this test accepts what the _want
+        # checks would; they run only to name what is wrong.
+        if not (type(entry) is dict
+                and type(layer := entry.get("layer")) is str
+                and type(index := entry.get("index")) is int
+                and type(old := entry.get("old")) is int
+                and type(new := entry.get("new")) is int):
+            where = f"changes[{i}]"
+            if not isinstance(entry, dict):
+                raise TraceParseError(f"{where}: expected object, got {type(entry).__name__}")
+            layer = _want(entry, "layer", str, where)
+            index = _want(entry, "index", int, where)
+            old = _want(entry, "old", int, where)
+            new = _want(entry, "new", int, where)
         try:
             changes.append(WeightChange(layer, index, old, new))
         except ValueError as e:
-            raise TraceParseError(f"{where}: {e}") from None
+            raise TraceParseError(f"changes[{i}]: {e}") from None
     try:
         return AttackTrace(meta, tuple(changes))
     except ValueError as e:  # the message carries the field path
@@ -177,16 +186,19 @@ def trace_to_json(trace: AttackTrace) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cost_of_change(change: WeightChange, b: int, encoding: EncodingMap | None = None) -> int:
-    """Bit flips this one change needs under the given representation."""
+def _flip_costs(b: int, encoding: EncodingMap | None) -> list[int]:
+    """Bit flips of each b-bit flip pattern k = old ^ new, indexed by k; a
+    map is linear, so it flips table[old] ^ table[new] == table[k]."""
     if encoding is None:
-        return flip_count(change.old, change.new, b)
+        return [k.bit_count() for k in range(1 << b)]
     if encoding.b != b:
         raise ValueError(f"map is {encoding.b}-bit but trace is {b}-bit")
-    mask = (1 << b) - 1
-    u = encoding.table[change.old & mask]
-    v = encoding.table[change.new & mask]
-    return (u.bits ^ v.bits).bit_count()
+    return [w.bits.bit_count() for w in encoding.table]
+
+
+def cost_of_change(change: WeightChange, b: int, encoding: EncodingMap | None = None) -> int:
+    """Bit flips this one change needs under the given representation."""
+    return _flip_costs(b, encoding)[flip_pattern(change.old, change.new, b)]
 
 
 def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> int:
@@ -194,7 +206,9 @@ def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> in
 
     ``encoding=None`` replays against plain two's-complement storage.
     """
-    return sum(cost_of_change(c, trace.meta.b, encoding) for c in trace.changes)
+    costs = _flip_costs(trace.meta.b, encoding)
+    mask = len(costs) - 1  # AttackTrace has range-checked every change
+    return sum([costs[(c.old ^ c.new) & mask] for c in trace.changes])
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flipguard.encoding import canonical_map, distance_matrix
-from flipguard.quantize import flip_count
+from flipguard.codes import CODE_IDS, code_shape
+from flipguard.encoding import canonical_map, distance_matrix, twos_complement_matrix
+from flipguard.quantize import flip_count, twos_complement_bits
 from flipguard.traces import (
     AttackTrace,
+    CostStats,
     DEFAULT_MSB_FRACTION,
     DEFAULT_MULTIFLIP_WEIGHTS,
     ROWHAMMER_FLIPS_PER_SECOND,
@@ -27,6 +29,13 @@ from flipguard.traces import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "msb_attack_example.json"
+
+
+GOOD_CHANGE = {"layer": "l", "index": 3, "old": 1, "new": 2}
+
+
+def without(field):
+    return {k: v for k, v in GOOD_CHANGE.items() if k != field}
 
 
 def make_trace(changes, b=4):
@@ -97,6 +106,37 @@ class TestParse:
         with pytest.raises(TraceParseError, match=r"changes\[1\]\.new"):
             parse_trace(json.dumps(doc))
 
+    @pytest.mark.parametrize("entry, message", [
+        ([1, 2], "changes[3]: expected object, got list"),
+        ("x", "changes[3]: expected object, got str"),
+        (None, "changes[3]: expected object, got NoneType"),
+        (without("layer"), "changes[3]: missing field 'layer'"),
+        (without("index"), "changes[3]: missing field 'index'"),
+        (without("old"), "changes[3]: missing field 'old'"),
+        (without("new"), "changes[3]: missing field 'new'"),
+        ({**GOOD_CHANGE, "layer": 1}, "changes[3].layer: expected str, got int"),
+        ({**GOOD_CHANGE, "index": "3"}, "changes[3].index: expected int, got str"),
+        ({**GOOD_CHANGE, "index": 3.0}, "changes[3].index: expected int, got float"),
+        ({**GOOD_CHANGE, "old": "1"}, "changes[3].old: expected int, got str"),
+        ({**GOOD_CHANGE, "new": None}, "changes[3].new: expected int, got NoneType"),
+        ({**GOOD_CHANGE, "layer": True}, "changes[3].layer: expected str, got bool"),
+        ({**GOOD_CHANGE, "index": True}, "changes[3].index: expected int, got bool"),
+        ({**GOOD_CHANGE, "old": False}, "changes[3].old: expected int, got bool"),
+        ({**GOOD_CHANGE, "new": True}, "changes[3].new: expected int, got bool"),
+        ({**GOOD_CHANGE, "index": -1}, "changes[3]: index must be nonnegative, got -1"),
+        ({**GOOD_CHANGE, "new": 1}, "changes[3]: old and new are both 1"),
+        # several faults: the first field in layer, index, old, new order wins
+        ({"index": "3"}, "changes[3]: missing field 'layer'"),
+        ({**without("old"), "index": -1}, "changes[3]: missing field 'old'"),
+    ])
+    def test_bad_change_messages(self, entry, message):
+        good = [{**GOOD_CHANGE, "index": i} for i in range(3)]
+        doc = {"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"},
+               "changes": good + [entry]}
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_dataclasses_validate_directly(self):
         with pytest.raises(ValueError, match="bit width"):
             TraceMeta("m", 5, "x", "d")
@@ -141,6 +181,16 @@ class TestCost:
         with pytest.raises(ValueError, match="8-bit"):
             cost_of_trace(trace, canonical_map("C12_3"))
 
+    def test_width_mismatch_on_an_empty_trace(self):
+        with pytest.raises(ValueError, match="8-bit"):
+            cost_of_trace(make_trace([]), canonical_map("C12_3"))
+
+    @pytest.mark.parametrize("code_id", [None, "C7_3"])
+    def test_out_of_range_change_is_rejected(self, code_id):
+        m = code_id and canonical_map(code_id)
+        with pytest.raises(ValueError, match=r"value 100 out of range \[-8, 7\]"):
+            cost_of_change(WeightChange("x", 0, 100, 3), 4, m)
+
     @given(st.integers(-8, 7), st.integers(-8, 7))
     def test_change_cost_equals_matrix_entry(self, old, new):
         if old == new:
@@ -157,6 +207,42 @@ class TestCost:
         joined = AttackTrace(a.meta, a.changes + b.changes)
         m = canonical_map("C7_3")
         assert cost_of_trace(joined, m) == cost_of_trace(a, m) + cost_of_trace(b, m)
+
+
+def reference_cost(old, new, b, m=None):
+    """The pairwise formula: flips between the two stored words."""
+    if m is None:
+        return (twos_complement_bits(old, b).bits ^ twos_complement_bits(new, b).bits).bit_count()
+    mask = (1 << b) - 1
+    return (m.table[old & mask].bits ^ m.table[new & mask].bits).bit_count()
+
+
+class TestCostDifferential:
+    """The linear kernel against the pairwise formula it replaced."""
+
+    @pytest.mark.parametrize("b, code_id",
+                             [(4, None), (8, None), *((code_shape(c)[0], c) for c in CODE_IDS)])
+    def test_every_change(self, b, code_id):
+        m = code_id and canonical_map(code_id)
+        matrix = distance_matrix(m) if m else twos_complement_matrix(b)
+        half = 1 << (b - 1)
+        for old in range(-half, half):
+            for new in range(-half, half):
+                if old == new:
+                    continue
+                cost = cost_of_change(WeightChange("l", 0, old, new), b, m)
+                assert cost == reference_cost(old, new, b, m) == matrix.at(old, new)
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_traces(self, b):
+        traces = [synthesize_trace(b, 500, seed=s) for s in range(4)]
+        maps = [canonical_map(c) for c in CODE_IDS if canonical_map(c).b == b]
+        for m in (None, *maps):
+            costs = [sum(reference_cost(c.old, c.new, b, m) for c in t.changes)
+                     for t in traces]
+            assert [cost_of_trace(t, m) for t in traces] == costs
+            assert trace_stats(traces, m) == CostStats(
+                min(costs), Fraction(sum(costs), len(costs)), max(costs))
 
 
 class TestStats:
