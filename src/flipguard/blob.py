@@ -241,6 +241,9 @@ def overhead_report(code_id: str, b: int) -> OverheadReport:
 
 def write_sidecar(path, layers: dict[str, QuantConfig]) -> None:
     """One line per layer: layer_id, bits, delta, tab-separated."""
+    for lid in layers:
+        if set(lid) & set("\t\n\r"):
+            raise ValueError(f"layer id {lid!r} holds a tab or line break")
     lines = [f"{lid}\t{cfg.bits}\t{cfg.delta!r}\n" for lid, cfg in layers.items()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -259,5 +262,8 @@ def read_sidecar(path) -> dict[str, QuantConfig]:
             lid, bits, delta = parts
             if lid in layers:
                 raise ValueError(f"{path}:{lineno}: duplicate layer {lid!r}")
-            layers[lid] = QuantConfig(int(bits), float(delta))
+            try:
+                layers[lid] = QuantConfig(int(bits), float(delta))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return layers

@@ -4,9 +4,14 @@ Words are immutable fixed-length bit strings packed into a Python int.
 Coordinate 1 is the leftmost (most significant) bit; hex rendering reads
 the whole word MSB-first, so the 7-bit word 1111111 prints as ``7F`` and
 9-bit words use three hex digits.
+
+All GF(2) elimination in the package is here: ``_reduce`` reduces a word
+against an echelon basis, ``_pivots`` builds one, ``_independent`` keeps
+the first independent candidates and ``span_table`` lists a span.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -130,6 +135,22 @@ def _pivots(words: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
+def _independent(candidates: Iterable[BitWord], k: int) -> tuple[BitWord, ...]:
+    """The first k candidates, in order, that are independent of those
+    already kept. Stops drawing as soon as it has k."""
+    kept: list[BitWord] = []
+    pivots: dict[int, int] = {}
+    for w in candidates:
+        reduced = _reduce(w.bits, pivots)
+        if not reduced:  # in the span of those kept
+            continue
+        kept.append(w)
+        pivots[reduced.bit_length() - 1] = reduced
+        if len(kept) == k:
+            return tuple(kept)
+    raise ValueError(f"fewer than {k} independent candidates")
+
+
 def span_table(rows: Sequence[int]) -> list[int]:
     """All 2^len(rows) XOR combinations: entry k XORs the rows that k's set
     bits pick, rows[0] being picked by the most significant bit."""
@@ -207,59 +228,25 @@ def pairwise_min_distance(words: Sequence[BitWord]) -> int:
     )
 
 
-def _gf2_times_x(a: int, poly: int, r: int) -> int:
-    a <<= 1
-    if a >> r:
-        a ^= poly
-    return a
-
-
 def construct_hamming(r: int) -> BinaryCode:
     """Hamming code of redundancy r: a (2^r - 1, 2^(2^r - r - 1), 3) code.
 
     The parity-check columns are the powers alpha^(n-1) .. alpha^0 of a
     primitive element, so the code is cyclic and the column order is frozen
-    by ``_PRIMITIVE_POLY``.
+    by ``_PRIMITIVE_POLY``. Bit position p carries alpha^p, so positions
+    0..r-1 hold the unit columns and ``(1 << p) | alpha^p`` is a codeword
+    for each p >= r: the generator comes out in systematic form.
     """
     if r not in _PRIMITIVE_POLY:
         raise ValueError(f"redundancy must be 2..6, got {r}")
     poly = _PRIMITIVE_POLY[r]
     n = (1 << r) - 1
-    cols = [1]
+    powers = [1]  # alpha^p, multiplying by x modulo poly
     for _ in range(n - 1):
-        cols.append(_gf2_times_x(cols[-1], poly, r))
-    cols.reverse()  # coordinate 1 carries alpha^(n-1)
-
-    # Null space of H via elimination on its r rows.
-    rows = []
-    for bit in range(r - 1, -1, -1):
-        row = 0
-        for col in cols:
-            row = (row << 1) | ((col >> bit) & 1)
-        rows.append(row)
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        mask = 1 << (n - 1 - col)
-        hit = next((i for i in range(rank, len(rows)) if rows[i] & mask), None)
-        if hit is None:
-            continue
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & mask:
-                rows[i] ^= rows[rank]
-        pivot_cols.append(col)
-        rank += 1
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        fmask = 1 << (n - 1 - f)
-        word = fmask
-        for i, p in enumerate(pivot_cols):
-            if rows[i] & fmask:
-                word |= 1 << (n - 1 - p)
-        basis.append(BitWord(word, n))
-    return BinaryCode(n, tuple(basis))
+        a = powers[-1] << 1
+        powers.append(a ^ poly if a >> r else a)
+    rows = (BitWord((1 << p) | powers[p], n) for p in range(n - 1, r - 1, -1))
+    return BinaryCode(n, tuple(rows))
 
 
 def extend_code(c: BinaryCode) -> BinaryCode:
@@ -332,12 +319,8 @@ def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) ->
         raise ValueError(f"subcode dimension must be 1..{c.dimension}, got {dim}")
     words = c.codewords  # sorted; words[0] is the zero word
     rng = random.Random(seed)
-    chosen: list[BitWord] = []
-    while len(chosen) < dim:
-        pick = words[rng.randrange(1, len(words))]
-        if len(_pivots(w.bits for w in (*chosen, pick))) > len(chosen):
-            chosen.append(pick)
-    return BinaryCode(c.n, tuple(chosen))
+    picks = (words[rng.randrange(1, len(words))] for _ in itertools.count())
+    return BinaryCode(c.n, _independent(picks, dim))
 
 
 # Identity strings shared by the CLI, the blob header, and the map registry.

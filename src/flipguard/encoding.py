@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, _reduce, build_code, code_shape, hamming_distance, span_table
-from .quantize import flip_count, signed_value
+from .codes import BinaryCode, BitWord, _independent, build_code, code_shape, hamming_distance, span_table
+from .quantize import signed_value, value_range
 
 __all__ = [
     "DetectionReport",
@@ -80,11 +80,6 @@ class EncodingMap:
         return tuple(self.table[1 << (self.b - 1 - i)] for i in range(self.b))
 
     @cached_property
-    def inverse(self) -> dict[int, int]:
-        """Codeword bits back to the unsigned pattern value."""
-        return {w.bits: k for k, w in enumerate(self.table)}
-
-    @cached_property
     def codeword_strings(self) -> tuple[str, ...]:
         """``table`` as '0'/'1' strings. Being indexed by unsigned pattern,
         it also maps an in-range signed value v to its codeword as ``[v]``."""
@@ -131,17 +126,7 @@ def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
     candidates = sorted(
         (w for w in code.codewords if w.bits), key=lambda w: (-w.weight, w.bits)
     )
-    chosen: list[BitWord] = []
-    pivots: dict[int, int] = {}
-    for w in candidates:
-        reduced = _reduce(w.bits, pivots)
-        if not reduced:  # in the span of those chosen
-            continue
-        chosen.append(w)
-        pivots[reduced.bit_length() - 1] = reduced
-        if len(chosen) == code.dimension:
-            return tuple(chosen)
-    raise ValueError("code has no basis")  # unreachable for a valid code
+    return _independent(candidates, code.dimension)
 
 
 @lru_cache(maxsize=None)
@@ -176,31 +161,42 @@ def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
     """
     if word.n != m.code.n:
         raise ValueError(f"expected {m.code.n}-bit words, got {word.n}")
-    k = m.inverse.get(word.bits)
-    if k is None:
+    v = m.string_values.get(str(word))
+    if v is None:
         nearest = min(hamming_distance(word, w) for w in m.table)
         return DetectionReport(word, nearest)
-    return signed_value(k, m.b)
+    return v
+
+
+def _flip_costs(b: int, encoding: EncodingMap | None) -> list[int]:
+    """Bit flips of each b-bit flip pattern k = u ^ v, indexed by k: the
+    weight of k in plain two's complement; under a map, which is linear,
+    the weight of table[u] ^ table[v] == table[k]."""
+    if encoding is None:
+        value_range(b)  # validates the width
+        return [k.bit_count() for k in range(1 << b)]
+    if encoding.b != b:
+        raise ValueError(f"map is {encoding.b}-bit but trace is {b}-bit")
+    return [w.bits.bit_count() for w in encoding.table]
+
+
+def _cost_matrix(b: int, encoding: EncodingMap | None) -> DistanceMatrix:
+    """Flip cost of every change u -> v, signed-ascending on both axes."""
+    costs = _flip_costs(b, encoding)
+    half = 1 << (b - 1)
+    patterns = [v & (2 * half - 1) for v in range(-half, half)]
+    entries = tuple(tuple([costs[u ^ v] for v in patterns]) for u in patterns)
+    return DistanceMatrix(b, entries)
 
 
 def distance_matrix(m: EncodingMap) -> DistanceMatrix:
     """All pairwise codeword distances, signed-ascending on both axes."""
-    half = 1 << (m.b - 1)
-    order = [m.table[v & ((1 << m.b) - 1)] for v in range(-half, half)]
-    entries = tuple(
-        tuple(hamming_distance(u, v) for v in order) for u in order
-    )
-    return DistanceMatrix(m.b, entries)
+    return _cost_matrix(m.b, m)
 
 
 def twos_complement_matrix(b: int) -> DistanceMatrix:
     """Baseline matrix: plain two's-complement flip counts, no code."""
-    half = 1 << (b - 1)
-    entries = tuple(
-        tuple(flip_count(u, v, b) for v in range(-half, half))
-        for u in range(-half, half)
-    )
-    return DistanceMatrix(b, entries)
+    return _cost_matrix(b, None)
 
 
 def codebook_lines(m: EncodingMap) -> list[str]:

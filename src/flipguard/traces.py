@@ -20,7 +20,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .encoding import EncodingMap
+from .encoding import EncodingMap, _flip_costs
 from .quantize import flip_pattern, signed_value, twos_complement_bits, value_range
 
 __all__ = [
@@ -186,16 +186,6 @@ def trace_to_json(trace: AttackTrace) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _flip_costs(b: int, encoding: EncodingMap | None) -> list[int]:
-    """Bit flips of each b-bit flip pattern k = old ^ new, indexed by k; a
-    map is linear, so it flips table[old] ^ table[new] == table[k]."""
-    if encoding is None:
-        return [k.bit_count() for k in range(1 << b)]
-    if encoding.b != b:
-        raise ValueError(f"map is {encoding.b}-bit but trace is {b}-bit")
-    return [w.bits.bit_count() for w in encoding.table]
-
-
 def cost_of_change(change: WeightChange, b: int, encoding: EncodingMap | None = None) -> int:
     """Bit flips this one change needs under the given representation."""
     return _flip_costs(b, encoding)[flip_pattern(change.old, change.new, b)]
@@ -221,8 +211,7 @@ class CostStats:
 
 
 def trace_stats(traces: Sequence[AttackTrace], encoding: EncodingMap | None = None) -> CostStats:
-    if not traces:
-        raise ValueError("need at least one trace")
+    trace_width(traces)  # at least one trace, all of one width
     costs = [cost_of_trace(t, encoding) for t in traces]
     return CostStats(min(costs), Fraction(sum(costs), len(costs)), max(costs))
 

@@ -19,6 +19,14 @@ CODEBOOK_C8_4 = "FF B4 E8 A3 9A D1 8D C6 00 4B 17 5C 65 2E 72 39".split()
 CODEBOOK_C9_4 = ("1EF 1F0 193 18C 155 14A 129 136 "
                  "000 01F 07C 063 0BA 0A5 0C6 0D9").split()
 
+# Images of the unit patterns e1..e8 (e1 = sign bit) under the 8-bit maps;
+# by linearity they fix all 256 codewords of each map.
+BASIS_IMAGES_8BIT = {
+    "C12_3": "FEF 7FB E7F FDD FF6 2FF 5FE 79F".split(),
+    "C13_4": "1FEF 07FB 0E7F 0FDD 0FF6 12FF 15FE 179F".split(),
+    "C14_4": "2FEF 3EFB 3FF5 07FB 0FF6 15FD 1E9F 1F3D".split(),
+}
+
 
 def _matrix(text):
     rows = [tuple(int(x) for x in line.split()) for line in text.strip().splitlines()]

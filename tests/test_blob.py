@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -269,4 +271,17 @@ class TestSidecar:
         path = tmp_path / "layers.tsv"
         path.write_text("a\t4\t0.1\na\t8\t0.2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
+            read_sidecar(path)
+
+    @pytest.mark.parametrize("lid", ["a\tb", "a\nb", "a\rb"])
+    def test_unwritable_layer_id(self, tmp_path, lid):
+        path = tmp_path / "layers.tsv"
+        with pytest.raises(ValueError, match="layer id"):
+            write_sidecar(path, {lid: QuantConfig(4, 0.1)})
+
+    @pytest.mark.parametrize("line", ["x\t4\tabc", "x\t5\t0.1", "x\tfour\t0.1"])
+    def test_bad_number_error_names_the_line(self, tmp_path, line):
+        path = tmp_path / "layers.tsv"
+        path.write_text("conv1\t4\t0.05\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             read_sidecar(path)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flipguard.codes import (
+    _PRIMITIVE_POLY,
     BinaryCode,
     BitWord,
     CODE_IDS,
@@ -132,6 +133,31 @@ class TestConstructHamming:
             assert not (ball & seen)
             seen |= ball
         assert len(seen) == 1 << n
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_generator_is_the_null_space_of_the_parity_check(self, r):
+        # Parity-check columns alpha^(n-1) .. alpha^0, coordinate 1 first,
+        # computed here independently of the construction.
+        n = (1 << r) - 1
+        powers = [1]
+        for _ in range(n - 1):
+            a = powers[-1] << 1
+            powers.append(a ^ _PRIMITIVE_POLY[r] if a >> r else a)
+        cols = powers[::-1]
+
+        def syndrome(bits):
+            s = 0
+            for i, col in enumerate(cols):
+                if (bits >> (n - 1 - i)) & 1:
+                    s ^= col
+            return s
+
+        c = construct_hamming(r)
+        assert (c.n, c.dimension) == (n, n - r)
+        assert all(syndrome(g.bits) == 0 for g in c.generator)
+        if r <= 4:
+            null_space = {w for w in range(1 << n) if syndrome(w) == 0}
+            assert {w.bits for w in c.codewords} == null_space
 
     def test_large_r_refuses_enumeration(self):
         c = construct_hamming(5)

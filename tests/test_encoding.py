@@ -15,6 +15,7 @@ from flipguard.encoding import (
     twos_complement_matrix,
 )
 from reference_tables import (
+    BASIS_IMAGES_8BIT,
     CODEBOOK_C7_3,
     CODEBOOK_C8_4,
     CODEBOOK_C9_4,
@@ -145,6 +146,11 @@ class TestCanonicalMaps:
         m = canonical_map(code_id)
         assert m.basis_images == greedy_basis(build_code(code_id))
 
+    @pytest.mark.parametrize("code_id", EIGHT_BIT_IDS)
+    def test_pinned_eight_bit_basis_images(self, code_id):
+        m = canonical_map(code_id)
+        assert [w.hex() for w in m.basis_images] == BASIS_IMAGES_8BIT[code_id]
+
 
 class TestEncodeDecode:
     def test_out_of_range_values(self):
@@ -208,6 +214,11 @@ class TestDistanceMatrix:
 
     def test_twos_complement_baseline(self):
         assert twos_complement_matrix(4).entries == EXPECTED_FLIPS_4BIT
+
+    @pytest.mark.parametrize("b", [3, 5])
+    def test_twos_complement_rejects_other_widths(self, b):
+        with pytest.raises(ValueError, match="bit width must be one of"):
+            twos_complement_matrix(b)
 
     def test_accessor_uses_signed_values(self):
         dm = distance_matrix(canonical_map("C7_3"))

@@ -263,8 +263,13 @@ class TestStats:
         assert st_.avg_flips == Fraction(7 + 14 + 8, 3)
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one trace"):
             trace_stats([])
+
+    def test_mixed_widths_are_rejected(self):
+        traces = [synthesize_trace(4, 10, seed=1), synthesize_trace(8, 10, seed=1)]
+        with pytest.raises(ValueError, match="mix bit widths"):
+            trace_stats(traces)
 
     def test_ordering_invariant(self):
         traces = [synthesize_trace(8, 30, seed=s) for s in range(5)]
