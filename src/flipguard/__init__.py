@@ -27,7 +27,6 @@ from .codes import (
     extend_code,
     hamming_distance,
     linear_subcode,
-    min_distance,
     shorten_code,
 )
 from .encoding import (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 import struct
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,7 +40,6 @@ __all__ = [
     "overhead_report",
     "pack_words",
     "read_sidecar",
-    "timed_verify",
     "unpack_words",
     "verify_blob",
     "write_sidecar",
@@ -216,13 +214,6 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
     """
     values, bad = _scan(m, blob)
     return VerifyReport(False, bad, blob.count) if bad else values
-
-
-def timed_verify(m: EncodingMap, blob: EncodedBlob) -> tuple[VerifyReport, float]:
-    """verify_blob plus its wall time in seconds."""
-    t0 = time.perf_counter()
-    report = verify_blob(m, blob)
-    return report, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)

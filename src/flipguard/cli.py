@@ -235,6 +235,8 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     m = canonical_map(args.code)
     lo, hi = value_range(m.b)
     rng = random.Random(args.seed)

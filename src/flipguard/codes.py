@@ -29,10 +29,8 @@ __all__ = [
     "extend_code",
     "hamming_distance",
     "linear_subcode",
-    "min_distance",
     "pairwise_min_distance",
     "shorten_code",
-    "shorten_words",
     "span_table",
 ]
 
@@ -212,11 +210,6 @@ class BinaryCode:
         return min(w.weight for w in self.codewords if w.bits)
 
 
-def min_distance(c: BinaryCode) -> int:
-    """Exact minimum distance of a linear code (brute force over the span)."""
-    return c.min_distance
-
-
 def pairwise_min_distance(words: Sequence[BitWord]) -> int:
     """Minimum distance over all distinct pairs of an arbitrary word set."""
     if len(words) < 2:
@@ -262,50 +255,35 @@ def extend_code(c: BinaryCode) -> BinaryCode:
     return BinaryCode(c.n + 1, tuple(ext(g) for g in c.generator))
 
 
-def shorten_words(words: Iterable[BitWord], positions: Sequence[int]) -> tuple[BitWord, ...]:
-    """Shorten an arbitrary word set: keep words with 0 at each position,
-    then delete that coordinate.
+def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
+    """Shorten a linear code at the given original coordinates: keep the
+    codewords with 0 at each position, then delete those coordinates.
 
-    Applied one position at a time, highest index first, so ``positions``
-    always refer to coordinates of the original words.
+    Works on the generator rows alone. Each row is rewritten with the
+    shortened coordinates on top and the rest below in their original
+    order; the echelon rows ``_pivots`` makes of them whose pivot lies
+    below that block are zero on it and span the shortened code. Minimum
+    distance never decreases; the size drops by at most a factor of 2 per
+    position.
     """
-    wlist = list(words)
-    if not wlist:
-        raise ValueError("empty word set")
-    n = wlist[0].n
-    if any(w.n != n for w in wlist):
-        raise ValueError("words must share one length")
+    positions = list(positions)
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate shortening positions")
-    if any(not 1 <= p <= n for p in positions):
-        raise ValueError(f"positions must lie in 1..{n}")
-    if len(positions) >= n:
+    if any(not 1 <= p <= c.n for p in positions):
+        raise ValueError(f"positions must lie in 1..{c.n}")
+    if len(positions) >= c.n:
         raise ValueError("cannot shorten away every coordinate")
+    order = positions + [i for i in range(1, c.n + 1) if i not in positions]
 
-    cur = [w.bits for w in wlist]
-    width = n
-    for p in sorted(positions, reverse=True):
-        shift = width - p  # bit position of coordinate p
-        kept = [w for w in cur if not (w >> shift) & 1]
-        if not kept:
-            raise ValueError(f"no words have 0 at coordinate {p}")
-        cur = [((w >> (shift + 1)) << shift) | (w & ((1 << shift) - 1)) for w in kept]
-        width -= 1
-    return tuple(BitWord(w, width) for w in sorted(set(cur)))
+    def move(w: int) -> int:
+        bits = f"{w:0{c.n}b}"  # bits[i - 1] is coordinate i
+        return int("".join(bits[i - 1] for i in order), 2)
 
-
-def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
-    """Shorten a linear code at the given original coordinates.
-
-    Minimum distance never decreases; the size drops by at most a factor
-    of 2 per position.
-    """
-    survivors = shorten_words(c.codewords, positions)
-    pivots = _pivots(w.bits for w in survivors)
-    if not pivots:
-        raise ValueError("shortening left only the zero word")
     width = c.n - len(positions)
-    rows = (pivots[p] for p in sorted(pivots, reverse=True))
+    pivots = _pivots(move(g.bits) for g in c.generator)
+    rows = [pivots[p] for p in sorted(pivots, reverse=True) if p < width]
+    if not rows:
+        raise ValueError("shortening left only the zero word")
     return BinaryCode(width, tuple(BitWord(r, width) for r in rows))
 
 

@@ -14,7 +14,6 @@ from flipguard.blob import (
     overhead_report,
     pack_words,
     read_sidecar,
-    timed_verify,
     unpack_words,
     verify_blob,
     write_sidecar,
@@ -193,13 +192,6 @@ class TestVerify:
             VerifyReport(True, (3,), 10)
         with pytest.raises(ValueError):
             VerifyReport(False, (), 10)
-
-    def test_timed_verify(self):
-        m = canonical_map("C12_3")
-        blob = encode_tensor(m, [0, 1, -1], "l")
-        report, seconds = timed_verify(m, blob)
-        assert report.clean
-        assert seconds >= 0.0
 
 
 class TestDecode:

@@ -308,6 +308,11 @@ class TestBench:
         assert code == 0
         assert "encode_s=" in out and "verify_s=" in out and "decode_s=" in out
 
+    def test_negative_count_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "bench", "--code", "C7_3", "--count", "-5")
+        assert code == 1 and out == ""
+        assert "error: --count must be nonnegative, got -5" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

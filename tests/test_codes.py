@@ -14,10 +14,8 @@ from flipguard.codes import (
     extend_code,
     hamming_distance,
     linear_subcode,
-    min_distance,
     pairwise_min_distance,
     shorten_code,
-    shorten_words,
 )
 from reference_tables import EXPECTED_SHAPES, HAMMING7_WORDS
 
@@ -188,39 +186,72 @@ class TestExtendCode:
         assert {w.bits for w in ext.codewords} == expect
 
 
+def reference_shorten(c, positions):
+    """Filter-and-delete over the listed span: keep the codewords with 0 at
+    every position, then delete those coordinates, highest index first so
+    that positions stay original coordinates."""
+    words = [w.bits for w in c.codewords]
+    width = c.n
+    for p in sorted(positions, reverse=True):
+        shift = width - p  # bit position of coordinate p
+        words = [((w >> (shift + 1)) << shift) | (w & ((1 << shift) - 1))
+                 for w in words if not (w >> shift) & 1]
+        width -= 1
+    return set(words)
+
+
+def position_lists(n, most):
+    """Every list of 1..most distinct coordinates of 1..n, in every order."""
+    for k in range(1, most + 1):
+        yield from (list(p) for p in itertools.permutations(range(1, n + 1), k))
+
+
 class TestShorten:
-    # the 4-bit set from the shortening walkthrough is deliberately non-linear
-    EXAMPLE = ("0000", "1001", "1110")
+    @pytest.mark.parametrize("code,most", [
+        (construct_hamming(2), 2),
+        (BinaryCode(4, tuple(words("1100", "0011"))), 3),
+        (construct_hamming(3), 3),
+        (extend_code(construct_hamming(3)), 3),
+        (construct_hamming(4), 2),
+    ], ids=["H2", "1100-0011", "H3", "ext-H3", "H4"])
+    def test_span_matches_filter_and_delete(self, code, most):
+        for positions in position_lists(code.n, most):
+            expect = reference_shorten(code, positions)
+            if expect == {0}:
+                with pytest.raises(ValueError, match="only the zero word"):
+                    shorten_code(code, positions)
+                continue
+            got = shorten_code(code, positions)
+            assert got.n == code.n - len(positions)
+            assert {w.bits for w in got.codewords} == expect, positions
 
-    @pytest.mark.parametrize("pos,expect", [
-        ([1], {"000"}),
-        ([2], {"000", "101"}),
-        ([3], {"000", "101"}),
-        ([4], {"000", "111"}),
-    ])
-    def test_single_position_examples(self, pos, expect):
-        got = shorten_words(words(*self.EXAMPLE), pos)
-        assert {str(w) for w in got} == expect
-
-    def test_positions_refer_to_original_coordinates(self):
-        got = shorten_words(words(*self.EXAMPLE), [2, 4])
-        # keep words with 0 at both original coordinates 2 and 4
-        assert {str(w) for w in got} == {"00"}
+    @pytest.mark.parametrize("extended,positions", [
+        (True, range(10, 17)),
+        (False, range(13, 16)),
+        (True, range(14, 17)),
+        (True, range(15, 17)),
+    ], ids=["C9_4", "C12_3", "C13_4", "C14_4-parent"])
+    def test_build_code_spans_match_filter_and_delete(self, extended, positions):
+        parent = construct_hamming(4)
+        if extended:
+            parent = extend_code(parent)
+        got = shorten_code(parent, positions)
+        assert {w.bits for w in got.codewords} == reference_shorten(parent, positions)
 
     def test_position_validation(self):
-        ws = words(*self.EXAMPLE)
-        with pytest.raises(ValueError):
-            shorten_words(ws, [1, 1])
-        with pytest.raises(ValueError):
-            shorten_words(ws, [0])
-        with pytest.raises(ValueError):
-            shorten_words(ws, [5])
-        with pytest.raises(ValueError):
-            shorten_words(ws, [1, 2, 3, 4])
+        c = construct_hamming(3)
+        for positions in ([1, 1], [0], [c.n + 1], range(1, c.n + 1)):
+            with pytest.raises(ValueError):
+                shorten_code(c, positions)
 
     def test_shortened_extended_hamming(self):
         c = shorten_code(extend_code(construct_hamming(4)), range(10, 17))
         assert (c.n, c.size, c.min_distance) == (9, 16, 4)
+
+    def test_parent_span_is_never_listed(self):
+        # the r=5 Hamming code has 2^26 codewords, too many to enumerate
+        c = shorten_code(construct_hamming(5), range(17, 32))
+        assert (c.n, c.dimension, c.min_distance) == (16, 11, 3)
 
     @given(st.sets(st.integers(1, 7), min_size=1, max_size=3))
     def test_distance_never_decreases(self, positions):
@@ -239,7 +270,7 @@ class TestShorten:
 class TestMinDistance:
     def test_two_word_code(self):
         c = BinaryCode(2, (BitWord.from_string("11"),))
-        assert min_distance(c) == 2
+        assert c.min_distance == 2
 
     def test_nonlinear_pairwise_example(self):
         assert pairwise_min_distance(words("0000", "1111", "1110")) == 1
@@ -251,7 +282,7 @@ class TestMinDistance:
     @pytest.mark.parametrize("code_id", CODE_IDS)
     def test_pairwise_oracle_agrees_on_linear_codes(self, code_id):
         c = build_code(code_id)
-        assert min_distance(c) == pairwise_min_distance(c.codewords)
+        assert c.min_distance == pairwise_min_distance(c.codewords)
 
 
 class TestLinearSubcode:
