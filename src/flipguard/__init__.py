@@ -33,7 +33,6 @@ from .encoding import (
     DetectionReport,
     DistanceMatrix,
     EncodingMap,
-    build_from_basis,
     canonical_map,
     codebook_lines,
     decode_value,

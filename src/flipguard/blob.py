@@ -108,8 +108,10 @@ class EncodedBlob:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
+        for name, value, top in (("bits", self.bits, 0xFF), ("n", self.n, 0xFF),
+                                 ("count", self.count, (1 << 64) - 1)):
+            if not 0 <= value <= top:
+                raise ValueError(f"{name} must lie in 0..{top}, got {value}")
         need = (self.count * self.n + 7) // 8
         if len(self.payload) != need:
             raise ValueError(f"payload must be {need} bytes, got {len(self.payload)}")
@@ -161,15 +163,14 @@ class EncodedBlob:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Scan result; clean holds exactly when no index was flagged."""
+    """Scan result: the indices of the slices that are not codewords."""
 
-    clean: bool
     corrupted_indices: tuple[int, ...]
     scanned: int
 
-    def __post_init__(self) -> None:
-        if self.clean != (not self.corrupted_indices):
-            raise ValueError("clean flag contradicts corrupted_indices")
+    @property
+    def clean(self) -> bool:
+        return not self.corrupted_indices
 
 
 def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> EncodedBlob:
@@ -204,7 +205,7 @@ def _scan(m: EncodingMap, blob: EncodedBlob) -> tuple[list[int | None], tuple[in
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:
     """Flag every slice of the payload that is not a codeword."""
     _, bad = _scan(m, blob)
-    return VerifyReport(not bad, bad, blob.count)
+    return VerifyReport(bad, blob.count)
 
 
 def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport:
@@ -213,7 +214,7 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
     No partial output: one corrupted slice suppresses all values.
     """
     values, bad = _scan(m, blob)
-    return VerifyReport(False, bad, blob.count) if bad else values
+    return VerifyReport(bad, blob.count) if bad else values
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,25 @@
 """Maps from b-bit quantized values onto codewords, plus distance tables.
 
-A map's table is indexed by the unsigned value of the b-bit two's-complement
-pattern (pattern bit 1 = MSB). Every map is GF(2)-linear, so its table is
-the span of the images of the b unit patterns. The images of the three
-4-bit maps are frozen constants; the 8-bit ones are derived by greedy basis
-assignment over the frozen code constructions.
+A map is given by the codewords of the b unit patterns (pattern bit 1 =
+MSB) and is GF(2)-linear by construction: its table, indexed by the
+unsigned value of the b-bit two's-complement pattern, is the span of those
+images. The images of the three 4-bit maps are frozen constants; the 8-bit
+ones are derived by greedy basis assignment over the frozen code
+constructions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
-from .codes import BinaryCode, BitWord, _independent, build_code, code_shape, hamming_distance, span_table
+from .codes import (BinaryCode, BitWord, _independent, _pivots, build_code, code_shape,
+                    hamming_distance, span_table)
 from .quantize import signed_value, value_range
 
 __all__ = [
     "DetectionReport",
     "DistanceMatrix",
     "EncodingMap",
-    "build_from_basis",
     "canonical_map",
     "codebook_lines",
     "decode_value",
@@ -50,34 +50,39 @@ class DetectionReport:
 
 @dataclass(frozen=True)
 class EncodingMap:
-    """Bijection between b-bit patterns and the codewords of ``code``.
+    """Linear bijection between b-bit patterns and the codewords of ``code``.
 
-    ``table[k]`` is the codeword for the pattern with unsigned value k.
-    The map is GF(2)-linear: table[u ^ v] == table[u] ^ table[v].
+    ``basis_images[i]`` is the codeword for unit pattern e_(i+1), e1 being
+    the MSB; they must be b independent codewords, b = ``code.dimension``.
+    Every other codeword follows by linearity, so a non-linear map cannot
+    be built.
     """
 
     code: BinaryCode
-    b: int
-    table: tuple[BitWord, ...]
+    basis_images: tuple[BitWord, ...]
     code_id: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.b != self.code.dimension:
-            raise ValueError("map width must equal the code dimension")
-        if len(self.table) != 1 << self.b:
-            raise ValueError(f"table must have {1 << self.b} entries")
-        if len({w.bits for w in self.table}) != len(self.table):
-            raise ValueError("table entries are not distinct")
-        if any(w not in self.code for w in self.table):
-            raise ValueError("table entry is not a codeword")
-        # Linearity: the whole table must be the span of the unit images.
-        if [w.bits for w in self.table] != span_table([w.bits for w in self.basis_images]):
-            raise ValueError("table is not GF(2)-linear")
+        images = tuple(self.basis_images)
+        object.__setattr__(self, "basis_images", images)
+        if len(images) != self.code.dimension:
+            raise ValueError(f"need {self.code.dimension} basis images, got {len(images)}")
+        if any(w not in self.code for w in images):
+            raise ValueError("basis image is not a codeword")
+        if len(_pivots(w.bits for w in images)) != len(images):
+            raise ValueError("basis images are linearly dependent")
 
     @cached_property
-    def basis_images(self) -> tuple[BitWord, ...]:
-        """Images of the unit patterns e1..eb, e1 being the MSB."""
-        return tuple(self.table[1 << (self.b - 1 - i)] for i in range(self.b))
+    def b(self) -> int:
+        """Width of the quantized values: the code dimension."""
+        return self.code.dimension
+
+    @cached_property
+    def table(self) -> tuple[BitWord, ...]:
+        """``table[k]`` is the codeword for the pattern with unsigned value
+        k: the XOR of the images that k's set bits pick."""
+        n = self.code.n
+        return tuple(BitWord(w, n) for w in span_table([w.bits for w in self.basis_images]))
 
     @cached_property
     def codeword_strings(self) -> tuple[str, ...]:
@@ -106,19 +111,6 @@ class DistanceMatrix:
         return self.entries[u + half][v + half]
 
 
-def build_from_basis(
-    code: BinaryCode, basis_images: Sequence[BitWord], code_id: str = "custom"
-) -> EncodingMap:
-    """Linear map sending unit pattern e_i to basis_images[i-1]."""
-    b = code.dimension
-    if len(basis_images) != b:
-        raise ValueError(f"need {b} basis images, got {len(basis_images)}")
-    if any(img.n != code.n for img in basis_images):
-        raise ValueError(f"basis images must be {code.n}-bit words")
-    table = tuple(BitWord(w, code.n) for w in span_table([img.bits for img in basis_images]))
-    return EncodingMap(code, b, table, code_id)
-
-
 def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
     """Max-weight-first basis: e1 gets the heaviest codeword, then each
     next unit pattern the heaviest codeword independent of those chosen.
@@ -141,9 +133,9 @@ def canonical_map(code_id: str) -> EncodingMap:
     _, n = code_shape(code_id)
     if code_id in _CANONICAL_IMAGES:
         images = tuple(BitWord.from_hex(h, n) for h in _CANONICAL_IMAGES[code_id].split())
-        return build_from_basis(BinaryCode(n, images), images, code_id)
+        return EncodingMap(BinaryCode(n, images), images, code_id)
     code = build_code(code_id)
-    return build_from_basis(code, greedy_basis(code), code_id)
+    return EncodingMap(code, greedy_basis(code), code_id)
 
 
 def encode_value(m: EncodingMap, v: int) -> BitWord:

@@ -14,6 +14,7 @@ complement, the weight of its codeword under a map.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -230,6 +231,8 @@ def _validate_multiflip(weights: Mapping[int, float], b: int) -> list[tuple[int,
     for k, p in items:
         if not (isinstance(k, int) and 1 <= k <= b):
             raise ValueError(f"flip count {k!r} outside 1..{b}")
+        if not math.isfinite(p):
+            raise ValueError(f"weight for {k} flips is not finite: {p}")
         if p < 0:
             raise ValueError(f"weight for {k} flips is negative")
     total = sum(p for _, p in items)

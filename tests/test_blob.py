@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -145,6 +146,37 @@ class TestBlobFormat:
         with pytest.raises(ValueError):
             EncodedBlob("C7_3", 4, 7, 3, "x", b"\x00")
 
+    @pytest.mark.parametrize("bits, n, count", [
+        (256, 7, 0), (-1, 7, 0), (4, -3, 0), (4, 0, 1 << 64), (4, 7, -1),
+    ])
+    def test_header_fields_must_fit_the_wire_format(self, bits, n, count):
+        with pytest.raises(ValueError, match=r"must lie in 0\.\."):
+            EncodedBlob("C7_3", bits, n, count, "", b"").to_bytes()
+
+    @given(
+        st.one_of(
+            st.binary(max_size=80),
+            # a well-formed header with arbitrary fields, then any payload
+            st.builds(
+                lambda cid, bits, n, count, lid, payload: (
+                    bytes([len(cid)]) + cid + bytes([bits, n]) + count.to_bytes(8, "big")
+                    + len(lid).to_bytes(2, "big") + lid + payload
+                ),
+                st.binary(max_size=6), st.integers(0, 255), st.integers(0, 255),
+                st.integers(0, 40), st.binary(max_size=6), st.binary(max_size=60),
+            ),
+        ),
+        st.booleans(),
+    )
+    def test_from_bytes_raises_only_corrupt_blob_error(self, data, magic):
+        if magic:
+            data = MAGIC + data
+        try:
+            blob = EncodedBlob.from_bytes(data)
+        except CorruptBlobError:
+            return
+        assert blob.to_bytes() == data
+
 
 class TestVerify:
     def test_clean_blob(self):
@@ -186,12 +218,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_blob(canonical_map("C8_4"), blob)
 
-    def test_report_invariant(self):
+    def test_clean_is_derived_from_the_indices(self):
         from flipguard.blob import VerifyReport
-        with pytest.raises(ValueError):
-            VerifyReport(True, (3,), 10)
-        with pytest.raises(ValueError):
-            VerifyReport(False, (), 10)
+        assert VerifyReport((), 10).clean
+        assert not VerifyReport((3,), 10).clean
+        assert [f.name for f in dataclasses.fields(VerifyReport)] == [
+            "corrupted_indices", "scanned"]
 
 
 class TestDecode:

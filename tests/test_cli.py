@@ -175,6 +175,21 @@ class TestEncodeVerifyDecode:
             codes.append(run(capsys, "verify", "--in", str(damaged))[0])
         assert codes == [2] * 200
 
+    @pytest.mark.parametrize("code_id", ["C7_3", "C8_4", "C9_4", "C12_3", "C13_4", "C14_4"])
+    def test_every_single_bit_flip_exits_2(self, capsys, tmp_path, code_id):
+        # empty layer id: every bit of header and payload is covered
+        raw = self.encode(capsys, tmp_path, range(-5, 6), code_id).read_bytes()
+        damaged = tmp_path / "damaged.bin"
+        codes = []
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            damaged.write_bytes(flipped)
+            for command in ("verify", "decode"):
+                codes.append(run(capsys, command, "--in", str(damaged))[0])
+        assert len(codes) == 16 * len(raw)
+        assert set(codes) == {2}
+
     @pytest.mark.parametrize("offset, mask, message", [
         (9, 0x20, "unknown code id 'c7_3'"),  # 'C' -> 'c'
         (13, 0x01, "header (b=5, n=7) does not match C7_3"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,6 @@ from flipguard.codes import BinaryCode, BitWord, build_code, construct_hamming
 from flipguard.encoding import (
     DetectionReport,
     EncodingMap,
-    build_from_basis,
     canonical_map,
     codebook_lines,
     decode_value,
@@ -40,29 +41,30 @@ class TestBuildFromBasis:
     )
 
     def test_unit_patterns_map_to_their_images(self):
-        m = build_from_basis(construct_hamming(3), self.IMAGES)
-        assert m.basis_images == self.IMAGES
+        m = EncodingMap(construct_hamming(3), list(self.IMAGES))
+        assert m.basis_images == self.IMAGES  # stored as a tuple
+        assert m.b == 4
 
     def test_xor_of_set_bits(self):
         # pattern 1101 combines images 1, 2 and 4
-        m = build_from_basis(construct_hamming(3), self.IMAGES)
+        m = EncodingMap(construct_hamming(3), self.IMAGES)
         assert str(m.table[0b1101]) == "1010001"
         assert m.table[0].bits == 0
         assert str(m.table[0b1000]) == "1111111"
 
     def test_wrong_image_count(self):
-        with pytest.raises(ValueError):
-            build_from_basis(construct_hamming(3), self.IMAGES[:3])
+        with pytest.raises(ValueError, match="need 4 basis images, got 3"):
+            EncodingMap(construct_hamming(3), self.IMAGES[:3])
 
     def test_non_codeword_image(self):
         bad = (*self.IMAGES[:3], BitWord.from_string("1111110"))
-        with pytest.raises(ValueError):
-            build_from_basis(construct_hamming(3), bad)
+        with pytest.raises(ValueError, match="basis image is not a codeword"):
+            EncodingMap(construct_hamming(3), bad)
 
     def test_dependent_images(self):
         dep = (*self.IMAGES[:3], self.IMAGES[0] ^ self.IMAGES[1])
-        with pytest.raises(ValueError):
-            build_from_basis(construct_hamming(3), dep)
+        with pytest.raises(ValueError, match="basis images are linearly dependent"):
+            EncodingMap(construct_hamming(3), dep)
 
 
 class TestGreedyBasis:
@@ -80,7 +82,7 @@ class TestGreedyBasis:
         # greedy picks a different basis than the frozen table, but the
         # resulting distance profile is identical
         code = construct_hamming(3)
-        m = build_from_basis(code, greedy_basis(code))
+        m = EncodingMap(code, greedy_basis(code))
         assert distance_matrix(m).entries == EXPECTED_MATRIX_C7_3
 
     def test_ties_break_to_smallest_value(self):
@@ -276,27 +278,19 @@ class TestDistanceMatrix:
 
 
 class TestMapValidation:
-    def test_swapping_entries_breaks_linearity(self):
-        m = canonical_map("C7_3")
-        table = list(m.table)
-        table[3], table[5] = table[5], table[3]
-        with pytest.raises(ValueError):
-            EncodingMap(m.code, 4, tuple(table))
+    def test_fields_are_the_basis_alone(self):
+        # table and b are derived, so a non-linear map cannot be built
+        names = [f.name for f in dataclasses.fields(EncodingMap)]
+        assert names == ["code", "basis_images", "code_id"]
 
-    def test_duplicate_entries_rejected(self):
-        m = canonical_map("C7_3")
-        table = list(m.table)
-        table[3] = table[5]
-        with pytest.raises(ValueError):
-            EncodingMap(m.code, 4, tuple(table))
-
-    def test_width_must_match_dimension(self):
-        m = canonical_map("C7_3")
-        with pytest.raises(ValueError):
-            EncodingMap(m.code, 5, m.table)
+    def test_wrong_length_image_is_not_a_codeword(self):
+        images = canonical_map("C7_3").basis_images
+        wide = (BitWord(images[0].bits, 8), *images[1:])
+        with pytest.raises(ValueError, match="basis image is not a codeword"):
+            EncodingMap(construct_hamming(3), wide)
 
     def test_foreign_words_rejected(self):
         code = construct_hamming(3)
         other = BinaryCode(7, tuple(BitWord(1 << i, 7) for i in range(4)))
         with pytest.raises(ValueError):
-            build_from_basis(code, other.generator)
+            EncodingMap(code, other.generator)

@@ -340,6 +340,15 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_trace(16, 1, seed=0)
 
+    @pytest.mark.parametrize("weights, k", [
+        ({1: float("nan")}, 1),
+        ({1: 1.0, 2: float("nan")}, 2),
+        ({1: float("inf"), 2: float("-inf")}, 1),
+    ])
+    def test_non_finite_weights_rejected(self, weights, k):
+        with pytest.raises(ValueError, match=f"weight for {k} flips is not finite"):
+            synthesize_trace(4, 1, multiflip_weights=weights, seed=0)
+
     def test_default_weights_are_distributions(self):
         for b, weights in DEFAULT_MULTIFLIP_WEIGHTS.items():
             assert abs(sum(weights.values()) - 1.0) < 1e-12
