@@ -13,9 +13,7 @@ from .blob import (
     decode_tensor,
     encode_tensor,
     overhead_report,
-    read_sidecar,
     verify_blob,
-    write_sidecar,
 )
 from .codes import (
     CODE_IDS,

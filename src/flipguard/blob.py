@@ -14,6 +14,12 @@ The payload is the codewords packed back to back, MSB-first: coordinate 1
 of the first codeword sits in the most significant bit of payload byte 0,
 and unused trailing bits of the last byte are zero.
 
+The constructor rejects any field the wire format cannot hold, so
+`to_bytes` cannot fail. `from_bytes` reads only blobs of registered codes:
+anything else, a parseable header with an unknown code id or a shape not
+the code's included, is `CorruptBlobError`. A custom map's blob verifies
+only in memory.
+
 Decoding is detection-only. A slice that is not a codeword is reported,
 never silently corrected, and no values are returned for a dirty blob.
 """
@@ -25,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import code_shape
+from .codes import CODE_IDS, code_shape
 from .encoding import EncodingMap, encode_value
-from .quantize import QuantConfig
 
 __all__ = [
     "MAGIC",
@@ -39,17 +44,15 @@ __all__ = [
     "encode_tensor",
     "overhead_report",
     "pack_words",
-    "read_sidecar",
     "unpack_words",
     "verify_blob",
-    "write_sidecar",
 ]
 
 MAGIC = b"DNCODE01"
 
 
 class CorruptBlobError(Exception):
-    """The byte stream is not a structurally valid blob."""
+    """The bytes are not a valid blob of a registered code."""
 
 
 def _to_payload(bits: str) -> bytes:
@@ -115,14 +118,14 @@ class EncodedBlob:
         need = (self.count * self.n + 7) // 8
         if len(self.payload) != need:
             raise ValueError(f"payload must be {need} bytes, got {len(self.payload)}")
+        if len(self.code_id.encode()) > 0xFF:
+            raise ValueError("code_id too long")
+        if len(self.layer_id.encode()) > 0xFFFF:
+            raise ValueError("layer_id too long")
 
     def to_bytes(self) -> bytes:
         cid = self.code_id.encode()
         lid = self.layer_id.encode()
-        if len(cid) > 0xFF:
-            raise ValueError("code_id too long")
-        if len(lid) > 0xFFFF:
-            raise ValueError("layer_id too long")
         head = MAGIC + struct.pack(">B", len(cid)) + cid
         head += struct.pack(">BBQ", self.bits, self.n, self.count)
         head += struct.pack(">H", len(lid)) + lid
@@ -130,6 +133,7 @@ class EncodedBlob:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncodedBlob":
+        """A blob of a registered code; any other bytes raise CorruptBlobError."""
         def take(k: int, what: str) -> bytes:
             nonlocal pos
             if pos + k > len(data):
@@ -152,13 +156,14 @@ class EncodedBlob:
         bits, n, count = struct.unpack(">BBQ", take(10, "header"))
         (lid_len,) = struct.unpack(">H", take(2, "layer_id length"))
         layer_id = text(lid_len, "layer_id")
-        payload = data[pos:]
-        need = (count * n + 7) // 8
-        if len(payload) != need:
-            raise CorruptBlobError(
-                f"payload is {len(payload)} bytes, header implies {need}"
-            )
-        return cls(code_id, bits, n, count, layer_id, payload)
+        if code_id not in CODE_IDS:
+            raise CorruptBlobError(f"unknown code id {code_id!r}")
+        if (bits, n) != code_shape(code_id):
+            raise CorruptBlobError(f"header (b={bits}, n={n}) does not match {code_id}")
+        try:
+            return cls(code_id, bits, n, count, layer_id, data[pos:])
+        except ValueError as e:
+            raise CorruptBlobError(str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -229,33 +234,3 @@ def overhead_report(code_id: str, b: int) -> OverheadReport:
     if b != cb:
         raise ValueError(f"{code_id} protects {cb}-bit values, not {b}-bit")
     return OverheadReport(Fraction(100 * (n - b), b), n)
-
-
-def write_sidecar(path, layers: dict[str, QuantConfig]) -> None:
-    """One line per layer: layer_id, bits, delta, tab-separated."""
-    for lid in layers:
-        if set(lid) & set("\t\n\r"):
-            raise ValueError(f"layer id {lid!r} holds a tab or line break")
-    lines = [f"{lid}\t{cfg.bits}\t{cfg.delta!r}\n" for lid, cfg in layers.items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
-def read_sidecar(path) -> dict[str, QuantConfig]:
-    layers: dict[str, QuantConfig] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            lid, bits, delta = parts
-            if lid in layers:
-                raise ValueError(f"{path}:{lineno}: duplicate layer {lid!r}")
-            try:
-                layers[lid] = QuantConfig(int(bits), float(delta))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    return layers

@@ -87,15 +87,8 @@ def _read_values(path: str) -> list[int]:
 
 
 def _load_blob(path: str) -> tuple[EncodedBlob, EncodingMap]:
-    """The blob stored at path and its code's map. Header damage that still
-    parses (an unknown code id, or a shape not the code's) is corruption."""
+    """The blob stored at path and its code's map."""
     blob = EncodedBlob.from_bytes(Path(path).read_bytes())
-    if blob.code_id not in CODE_IDS:
-        raise CorruptBlobError(f"unknown code id {blob.code_id!r}")
-    if (blob.bits, blob.n) != code_shape(blob.code_id):
-        raise CorruptBlobError(
-            f"header (b={blob.bits}, n={blob.n}) does not match {blob.code_id}"
-        )
     return blob, canonical_map(blob.code_id)
 
 

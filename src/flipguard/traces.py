@@ -117,9 +117,11 @@ def _want(obj: Mapping, key: str, kind: type, where: str):
 def parse_trace(text: str) -> AttackTrace:
     """Parse and validate a trace document from JSON text. The dataclasses
     check the values; their errors come back with the field path."""
+    # JSONDecodeError is a ValueError, and so is an int over the digit limit;
+    # nesting too deep raises RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise TraceParseError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise TraceParseError(f"top level: expected object, got {type(doc).__name__}")

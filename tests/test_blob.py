@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import pytest
 from fractions import Fraction
@@ -14,13 +13,11 @@ from flipguard.blob import (
     encode_tensor,
     overhead_report,
     pack_words,
-    read_sidecar,
     unpack_words,
     verify_blob,
-    write_sidecar,
 )
-from flipguard.encoding import canonical_map
-from flipguard.quantize import QuantConfig
+from flipguard.codes import CODE_IDS, code_shape
+from flipguard.encoding import EncodingMap, canonical_map
 
 
 def reference_pack(wordlist, n):
@@ -93,6 +90,23 @@ class TestPacking:
             unpack_words(b"", n, 1)
 
 
+def raw_blob(cid, bits, n, count, lid, payload):
+    """The bytes that follow the magic, from raw field values."""
+    return (bytes([len(cid)]) + cid + bytes([bits, n]) + count.to_bytes(8, "big")
+            + len(lid).to_bytes(2, "big") + lid + payload)
+
+
+@st.composite
+def registered_blob(draw):
+    """A registered code's header, any layer id, a payload of the right size."""
+    cid = draw(st.sampled_from(CODE_IDS))
+    bits, n = code_shape(cid)
+    count = draw(st.integers(0, 40))
+    size = (count * n + 7) // 8
+    return raw_blob(cid.encode(), bits, n, count, draw(st.binary(max_size=6)),
+                    draw(st.binary(min_size=size, max_size=size)))
+
+
 class TestBlobFormat:
     def blob(self, values=(-8, 0, 7), layer="conv1/weight"):
         return encode_tensor(canonical_map("C7_3"), list(values), layer)
@@ -153,18 +167,42 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match=r"must lie in 0\.\."):
             EncodedBlob("C7_3", bits, n, count, "", b"").to_bytes()
 
+    @pytest.mark.parametrize("field, size", [("code_id", 256), ("layer_id", 65536)])
+    def test_id_too_long_for_the_wire_format(self, field, size):
+        fields = dict(code_id="C7_3", bits=4, n=7, count=0, layer_id="", payload=b"")
+        fields[field] = "x" * size
+        with pytest.raises(ValueError, match=f"{field} too long"):
+            EncodedBlob(**fields)
+
+    def test_unregistered_code_id_is_corruption(self):
+        # a custom map's blob verifies in memory but cannot be read back
+        m = canonical_map("C7_3")
+        custom = EncodingMap(m.code, m.basis_images)
+        blob = encode_tensor(custom, [-8, 0, 7], "l")
+        assert verify_blob(custom, blob).clean
+        with pytest.raises(CorruptBlobError, match="unknown code id 'custom'"):
+            EncodedBlob.from_bytes(blob.to_bytes())
+
+    def test_shape_not_the_codes_is_corruption(self):
+        data = EncodedBlob("C7_3", 4, 8, 1, "l", b"\x00").to_bytes()
+        with pytest.raises(CorruptBlobError, match=r"header \(b=4, n=8\) does not match C7_3"):
+            EncodedBlob.from_bytes(data)
+
+    def test_payload_size_mismatch_is_corruption(self):
+        data = self.blob().to_bytes()
+        with pytest.raises(CorruptBlobError, match="payload must be 3 bytes, got 2"):
+            EncodedBlob.from_bytes(data[:-1])
+
     @given(
         st.one_of(
             st.binary(max_size=80),
             # a well-formed header with arbitrary fields, then any payload
             st.builds(
-                lambda cid, bits, n, count, lid, payload: (
-                    bytes([len(cid)]) + cid + bytes([bits, n]) + count.to_bytes(8, "big")
-                    + len(lid).to_bytes(2, "big") + lid + payload
-                ),
+                raw_blob,
                 st.binary(max_size=6), st.integers(0, 255), st.integers(0, 255),
                 st.integers(0, 40), st.binary(max_size=6), st.binary(max_size=60),
             ),
+            registered_blob(),
         ),
         st.booleans(),
     )
@@ -273,39 +311,3 @@ class TestOverhead:
             overhead_report("C7_3", 8)
         with pytest.raises(ValueError):
             overhead_report("C12_3", 4)
-
-
-class TestSidecar:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "layers.tsv"
-        layers = {
-            "conv1": QuantConfig(4, 0.05),
-            "fc/out": QuantConfig(8, 0.0125),
-        }
-        write_sidecar(path, layers)
-        assert read_sidecar(path) == layers
-
-    def test_field_count_error_names_the_line(self, tmp_path):
-        path = tmp_path / "layers.tsv"
-        path.write_text("conv1\t4\t0.05\nbroken line\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=":2"):
-            read_sidecar(path)
-
-    def test_duplicate_layer(self, tmp_path):
-        path = tmp_path / "layers.tsv"
-        path.write_text("a\t4\t0.1\na\t8\t0.2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="duplicate"):
-            read_sidecar(path)
-
-    @pytest.mark.parametrize("lid", ["a\tb", "a\nb", "a\rb"])
-    def test_unwritable_layer_id(self, tmp_path, lid):
-        path = tmp_path / "layers.tsv"
-        with pytest.raises(ValueError, match="layer id"):
-            write_sidecar(path, {lid: QuantConfig(4, 0.1)})
-
-    @pytest.mark.parametrize("line", ["x\t4\tabc", "x\t5\t0.1", "x\tfour\t0.1"])
-    def test_bad_number_error_names_the_line(self, tmp_path, line):
-        path = tmp_path / "layers.tsv"
-        path.write_text("conv1\t4\t0.05\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-            read_sidecar(path)

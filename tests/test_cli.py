@@ -263,6 +263,13 @@ class TestAnalyzeTrace:
         code, _, err = run(capsys, "analyze-trace", "--in", str(bad))
         assert code == 1 and "bad.json" in err
 
+    def test_too_deep_trace_is_bad_input(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "analyze-trace", "--in", str(deep))
+        assert code == 1 and out == ""
+        assert f"error: {deep}: not valid JSON" in err
+
 
 class TestSimulate:
     def test_stdout_trace_parses(self, capsys):

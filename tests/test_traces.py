@@ -58,6 +58,15 @@ class TestParse:
         with pytest.raises(TraceParseError, match="not valid JSON"):
             parse_trace("{nope")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        json.dumps({"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"},
+                    "changes": [GOOD_CHANGE]}).replace('"index": 3', '"index": ' + "9" * 5000),
+    ], ids=["too_deep", "int_over_the_digit_limit"])
+    def test_json_the_decoder_refuses(self, text):
+        with pytest.raises(TraceParseError, match="not valid JSON"):
+            parse_trace(text)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(TraceParseError, match="top level"):
             parse_trace("[1, 2]")
