@@ -25,10 +25,11 @@ never silently corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .codes import CODE_IDS, code_shape
@@ -61,8 +62,20 @@ def _to_payload(bits: str) -> bytes:
     return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
-def _slices(payload: bytes, n: int, count: int) -> list[str]:
-    """The payload as count n-bit '0'/'1' strings; checks length and zero
+# Words per cut. Payloads are zero-filled to whole chunks so that one cached
+# format per word width serves every count: a format per count would hold
+# about 32 B per word for each layer size it was cached for.
+_CHUNK = 1024
+
+
+@lru_cache(maxsize=16)
+def _cutter(n: int) -> struct.Struct:
+    """_CHUNK fields of n bytes: cuts n-character words off a bit string."""
+    return struct.Struct(f"{n}s" * _CHUNK)
+
+
+def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
+    """The payload as count n-bit b'0'/b'1' strings; checks length and zero
     padding."""
     if n < 1:
         raise ValueError(f"word width must be at least 1, got {n}")
@@ -77,7 +90,11 @@ def _slices(payload: bytes, n: int, count: int) -> list[str]:
         raise CorruptBlobError("nonzero padding bits")
     if not count:
         return []
-    return re.findall(f".{{{n}}}", format(acc >> pad, f"0{count * n}b"))
+    fill = -count % _CHUNK
+    bits = format(acc >> pad << fill * n, f"0{(count + fill) * n}b").encode()
+    slices = list(chain.from_iterable(_cutter(n).iter_unpack(bits)))
+    del slices[count:]
+    return slices
 
 
 def pack_words(words: Iterable[int], n: int) -> bytes:
@@ -201,10 +218,13 @@ def _scan(m: EncodingMap, blob: EncodedBlob) -> tuple[list[int | None], tuple[in
     """Every slice's signed value (None for a non-codeword) and the indices
     of the non-codewords."""
     _check_header(m, blob)
-    values = list(map(m.string_values.get, _slices(blob.payload, blob.n, blob.count)))
-    if None not in values:
-        return values, ()
-    return values, tuple(i for i, v in enumerate(values) if v is None)
+    slices = _slices(blob.payload, blob.n, blob.count)
+    # A clean payload raises nowhere, so it needs no pass looking for None.
+    try:
+        return list(map(m.string_values.__getitem__, slices)), ()
+    except KeyError:
+        values = list(map(m.string_values.get, slices))
+        return values, tuple(i for i, v in enumerate(values) if v is None)
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:

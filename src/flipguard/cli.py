@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import random
 import sys
 import time
@@ -79,7 +80,10 @@ def _matrix_lines(b: int, rows, fmt: str) -> list[str]:
 
 
 def _read_values(path: str) -> list[int]:
-    tokens = Path(path).read_text(encoding="utf-8").split()
+    try:
+        tokens = Path(path).read_text(encoding="utf-8").split()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not valid UTF-8: {e}") from None
     try:
         return [int(t) for t in tokens]
     except ValueError as e:
@@ -237,12 +241,27 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     blob = encode_tensor(m, values, "bench")
     t1 = time.perf_counter()
-    verify_blob(m, blob)
+    raw = blob.to_bytes()
     t2 = time.perf_counter()
-    decode_tensor(m, blob)
+    blob = EncodedBlob.from_bytes(raw)
     t3 = time.perf_counter()
+    verify_blob(m, blob)
+    t4 = time.perf_counter()
+    decode_tensor(m, blob)
+    t5 = time.perf_counter()
+    if args.json:
+        print(json.dumps({
+            "code": args.code,
+            "count": args.count,
+            "seed": args.seed,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "seconds": {"encode": t1 - t0, "serialize": t2 - t1, "parse": t3 - t2,
+                        "verify": t4 - t3, "decode": t5 - t4},
+        }, sort_keys=True))
+        return 0
     print(f"code={args.code} count={args.count} "
-          f"encode_s={t1 - t0:.4f} verify_s={t2 - t1:.4f} decode_s={t3 - t2:.4f}")
+          f"encode_s={t1 - t0:.4f} verify_s={t4 - t3:.4f} decode_s={t5 - t4:.4f}")
     return 0
 
 
@@ -306,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, choices=CODE_IDS)
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="print every stage's seconds as one JSON object")
 
     return parser
 

@@ -91,9 +91,10 @@ class EncodingMap:
         return tuple(format(w.bits, f"0{self.code.n}b") for w in self.table)
 
     @cached_property
-    def string_values(self) -> dict[str, int]:
-        """Codeword '0'/'1' string back to its signed value."""
-        return {s: signed_value(k, self.b) for k, s in enumerate(self.codeword_strings)}
+    def string_values(self) -> dict[bytes, int]:
+        """Codeword as b'0'/b'1' bytes back to its signed value."""
+        return {s.encode(): signed_value(k, self.b)
+                for k, s in enumerate(self.codeword_strings)}
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
     """
     if word.n != m.code.n:
         raise ValueError(f"expected {m.code.n}-bit words, got {word.n}")
-    v = m.string_values.get(str(word))
+    v = m.string_values.get(str(word).encode())
     if v is None:
         nearest = min(hamming_distance(word, w) for w in m.table)
         return DetectionReport(word, nearest)

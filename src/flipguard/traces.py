@@ -166,6 +166,8 @@ def load_trace(path) -> AttackTrace:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise TraceParseError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise TraceParseError(f"{path}: not valid UTF-8: {e}") from None
     try:
         return parse_trace(text)
     except TraceParseError as e:

@@ -148,6 +148,14 @@ class TestEncodeVerifyDecode:
                            "--in", str(src), "--out", str(tmp_path / "x.bin"))
         assert code == 1 and "values.txt" in err
 
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path):
+        src = tmp_path / "values.txt"
+        src.write_bytes(b"\xff\xfe\x7b")
+        code, out, err = run(capsys, "encode", "--code", "C7_3",
+                             "--in", str(src), "--out", str(tmp_path / "x.bin"))
+        assert code == 1 and out == ""
+        assert f"error: {src}: not valid UTF-8" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "decode", "--in", str(tmp_path / "absent.bin"))
         assert code == 1
@@ -270,6 +278,15 @@ class TestAnalyzeTrace:
         assert code == 1 and out == ""
         assert f"error: {deep}: not valid JSON" in err
 
+    @pytest.mark.parametrize("flag", ["--in", "--trace-dir"])
+    def test_non_utf8_trace_names_the_file(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x7b")
+        code, out, err = run(capsys, "analyze-trace", flag,
+                             str(bad if flag == "--in" else tmp_path))
+        assert code == 1 and out == ""
+        assert f"error: {bad}: not valid UTF-8" in err
+
 
 class TestSimulate:
     def test_stdout_trace_parses(self, capsys):
@@ -329,6 +346,18 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--code", "C7_3", "--count", "500")
         assert code == 0
         assert "encode_s=" in out and "verify_s=" in out and "decode_s=" in out
+
+    def test_json_reports_every_stage(self, capsys):
+        code, out, _ = run(capsys, "bench", "--code", "C14_4", "--count", "3000",
+                           "--seed", "3", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert {k: doc[k] for k in ("code", "count", "seed")} == {
+            "code": "C14_4", "count": 3000, "seed": 3}
+        assert doc["python"] and doc["machine"]
+        assert sorted(doc["seconds"]) == ["decode", "encode", "parse", "serialize",
+                                          "verify"]
+        assert all(t >= 0 for t in doc["seconds"].values())
 
     def test_negative_count_is_bad_input(self, capsys):
         code, out, err = run(capsys, "bench", "--code", "C7_3", "--count", "-5")

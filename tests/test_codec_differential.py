@@ -10,6 +10,8 @@ import time
 import pytest
 
 from flipguard.blob import (
+    _CHUNK,
+    CorruptBlobError,
     EncodedBlob,
     VerifyReport,
     decode_tensor,
@@ -17,6 +19,7 @@ from flipguard.blob import (
     pack_words,
     unpack_words,
     verify_blob,
+    _cutter,
 )
 from flipguard.codes import CODE_IDS
 from flipguard.encoding import canonical_map, encode_value
@@ -24,6 +27,9 @@ from flipguard.encoding import canonical_map, encode_value
 from test_blob import reference_pack
 
 SEEDS = range(4)
+K = _CHUNK
+# Payloads are cut in chunks of K words: counts on each side of a chunk edge.
+BOUNDARY_COUNTS = (0, 1, K - 1, K, K + 1, 2 * K + 1)
 
 
 def random_values(rng, m, count):
@@ -70,6 +76,15 @@ def with_payload(blob, payload):
                        bytes(payload))
 
 
+def random_payload(rng, n, count):
+    """count random n-bit words, packed with zero padding."""
+    need = (count * n + 7) // 8
+    payload = bytearray(rng.randbytes(need))
+    if need:
+        payload[-1] &= (0xFF << (8 * need - count * n)) & 0xFF
+    return payload
+
+
 @pytest.mark.parametrize("code_id", CODE_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_payload_bytes_match_reference(code_id, seed):
@@ -110,23 +125,65 @@ def test_random_payloads_match_reference(code_id, seed):
     m = canonical_map(code_id)
     rng = random.Random(f"{code_id}/{seed}/random")
     for count in (1, 2, 3, rng.randrange(10, 2000)):
-        need = (count * m.code.n + 7) // 8
-        payload = bytearray(rng.randbytes(need))
-        payload[-1] &= (0xFF << (8 * need - count * m.code.n)) & 0xFF
+        payload = random_payload(rng, m.code.n, count)
         blob = with_payload(encode_tensor(m, [0] * count, "l"), payload)
         assert scan_both(m, blob) == reference_scan(m, blob.payload, count)
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+@pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+def test_chunk_boundaries_match_reference(code_id, count):
+    m = canonical_map(code_id)
+    n = m.code.n
+    rng = random.Random(f"{code_id}/{count}/chunks")
+    values = random_values(rng, m, count)
+    clean = encode_tensor(m, values, "l")
+    assert scan_both(m, clean) == reference_scan(m, clean.payload, count) == (values, ())
+
+    # one flip in the last word of a chunk, the first of the next, the last word
+    planted = sorted({i for i in (K - 1, K, count - 1) if 0 <= i < count})
+    payload = bytearray(clean.payload)
+    for i in planted:
+        bit = i * n + rng.randrange(n)
+        payload[bit // 8] ^= 0x80 >> (bit % 8)
+    dirty = with_payload(clean, payload)
+    assert scan_both(m, dirty) == reference_scan(m, dirty.payload, count) == (
+        None if planted else values, tuple(planted))
+
+    noise = with_payload(clean, random_payload(rng, n, count))
+    got = scan_both(m, noise)
+    assert got == reference_scan(m, noise.payload, count)
+    assert all(i < count for i in got[1])
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_unpack_random_payloads_match_reference(n):
     rng = random.Random(n)
-    count = rng.randrange(1, 500)
-    need = (count * n + 7) // 8
-    payload = bytearray(rng.randbytes(need))
-    payload[-1] &= (0xFF << (8 * need - count * n)) & 0xFF
-    bits = "".join(f"{byte:08b}" for byte in payload)
-    expected = [int(bits[i * n:(i + 1) * n], 2) for i in range(count)]
-    assert unpack_words(bytes(payload), n, count) == expected
+    for count in (rng.randrange(1, 500), *BOUNDARY_COUNTS):
+        payload = random_payload(rng, n, count)
+        bits = "".join(f"{byte:08b}" for byte in payload)
+        expected = [int(bits[i * n:(i + 1) * n], 2) for i in range(count)]
+        assert unpack_words(bytes(payload), n, count) == expected
+    if (K + 1) * n % 8:
+        payload = random_payload(rng, n, K + 1)
+        payload[-1] |= 1
+        with pytest.raises(CorruptBlobError, match="nonzero padding bits"):
+            unpack_words(bytes(payload), n, K + 1)
+
+
+def test_cut_formats_depend_on_the_width_alone():
+    # One cached format per word width; one per layer size would hold
+    # memory in proportion to the largest layer ever read.
+    _cutter.cache_clear()
+    rng = random.Random("cutters")
+    widths = set()
+    for i, count in enumerate(rng.sample(range(1, 5 * K), 40)):
+        m = canonical_map(CODE_IDS[i % len(CODE_IDS)])
+        blob = encode_tensor(m, random_values(rng, m, count), "l")
+        assert verify_blob(m, blob).clean
+        widths.add(m.code.n)
+    assert _cutter.cache_info().currsize <= len(widths)
+    assert all(_cutter(n).size == n * K for n in widths)
 
 
 @pytest.mark.parametrize("code_id", CODE_IDS)

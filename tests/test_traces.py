@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +158,12 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceParseError):
             load_trace(tmp_path / "absent.json")
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x7b")
+        with pytest.raises(TraceParseError, match=f"^{re.escape(str(bad))}: not valid UTF-8"):
+            load_trace(bad)
 
     def test_file_errors_name_the_file(self, tmp_path):
         bad = tmp_path / "bad.json"
