@@ -79,6 +79,8 @@ def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
     padding."""
     if n < 1:
         raise ValueError(f"word width must be at least 1, got {n}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     need = (count * n + 7) // 8
     if len(payload) < need:
         raise CorruptBlobError(f"payload truncated: {len(payload)} bytes, need {need}")

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encoding import EncodingMap, _flip_costs
-from .quantize import flip_pattern, signed_value, twos_complement_bits, value_range
+from .quantize import flip_pattern, signed_value, value_range
 
 __all__ = [
     "AttackTrace",
@@ -62,44 +62,44 @@ class TraceParseError(ValueError):
     """A trace document violates the schema; message carries the field path."""
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(NamedTuple):
     method: str
     b: int
     model: str
     dataset: str
 
-    def __post_init__(self) -> None:
-        value_range(self.b)
 
-
-@dataclass(frozen=True)
-class WeightChange:
+class WeightChange(NamedTuple):
     layer: str
     index: int
     old: int
     new: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"index must be nonnegative, got {self.index}")
-        if self.old == self.new:
-            raise ValueError(f"old and new are both {self.old}")
-
 
 @dataclass(frozen=True)
 class AttackTrace:
+    """A trace whose values obey the rules: ``meta.b`` is a supported width,
+    and each change has a nonnegative index, old != new, and both values in
+    range. Parsed and built traces alike are checked here, meta first, then
+    the changes in order; the first fault raises."""
+
     meta: TraceMeta
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
-        lo, hi = value_range(self.meta.b)
-        for i, c in enumerate(self.changes):
-            if not (lo <= c.old <= hi and lo <= c.new <= hi):
-                side, v = ("new", c.new) if lo <= c.old <= hi else ("old", c.old)
-                raise ValueError(
-                    f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}"
-                )
+        try:
+            lo, hi = value_range(self.meta.b)
+        except ValueError as e:
+            raise ValueError(f"meta.b: {e}") from None
+        for i, (_, index, old, new) in enumerate(self.changes):
+            if index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi:
+                continue
+            if index < 0:
+                raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
+            if old == new:
+                raise ValueError(f"changes[{i}]: old and new are both {old}")
+            side, v = ("new", new) if lo <= old <= hi else ("old", old)
+            raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
 
 
 def _want(obj: Mapping, key: str, kind: type, where: str):
@@ -115,8 +115,8 @@ def _want(obj: Mapping, key: str, kind: type, where: str):
 
 
 def parse_trace(text: str) -> AttackTrace:
-    """Parse and validate a trace document from JSON text. The dataclasses
-    check the values; their errors come back with the field path."""
+    """Parse a trace document from JSON text. The shape is checked here,
+    the values by AttackTrace; every error carries the field path."""
     # JSONDecodeError is a ValueError, and so is an int over the digit limit;
     # nesting too deep raises RecursionError
     try:
@@ -130,10 +130,7 @@ def parse_trace(text: str) -> AttackTrace:
     b = _want(meta_obj, "b", int, "meta")
     model = _want(meta_obj, "model", str, "meta")
     dataset = _want(meta_obj, "dataset", str, "meta")
-    try:
-        meta = TraceMeta(method, b, model, dataset)
-    except ValueError as e:
-        raise TraceParseError(f"meta.b: {e}") from None
+    meta = TraceMeta(method, b, model, dataset)
     raw_changes = _want(doc, "changes", list, "top level")
     changes = []
     for i, entry in enumerate(raw_changes):
@@ -151,10 +148,7 @@ def parse_trace(text: str) -> AttackTrace:
             index = _want(entry, "index", int, where)
             old = _want(entry, "old", int, where)
             new = _want(entry, "new", int, where)
-        try:
-            changes.append(WeightChange(layer, index, old, new))
-        except ValueError as e:
-            raise TraceParseError(f"changes[{i}]: {e}") from None
+        changes.append(WeightChange(layer, index, old, new))
     try:
         return AttackTrace(meta, tuple(changes))
     except ValueError as e:  # the message carries the field path
@@ -288,10 +282,10 @@ def synthesize_trace(
         else:
             first = rng.randrange(2, b + 1)
         rest = rng.sample([p for p in range(1, b + 1) if p != first], k - 1)
-        word = twos_complement_bits(old, b)
+        pattern = old & ((1 << b) - 1)
         for pos in (first, *rest):
-            word = word.flip(pos)
-        changes.append(WeightChange("synthetic", i, old, signed_value(word.bits, b)))
+            pattern ^= 1 << (b - pos)
+        changes.append(WeightChange("synthetic", i, old, signed_value(pattern, b)))
     meta = TraceMeta("synthetic", b, "synthetic", "synthetic")
     return AttackTrace(meta, tuple(changes))
 

@@ -89,6 +89,12 @@ class TestPacking:
         with pytest.raises(ValueError, match="at least 1"):
             unpack_words(b"", n, 1)
 
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    def test_negative_count_is_bad_input_not_damage(self, n):
+        with pytest.raises(ValueError, match=r"^count must be nonnegative, got -1$") as info:
+            unpack_words(b"", n, -1)
+        assert not isinstance(info.value, CorruptBlobError)
+
 
 def raw_blob(cid, bits, n, count, lid, payload):
     """The bytes that follow the magic, from raw field values."""

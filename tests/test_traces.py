@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -147,13 +148,19 @@ class TestParse:
             parse_trace(json.dumps(doc))
         assert str(info.value) == message
 
-    def test_dataclasses_validate_directly(self):
-        with pytest.raises(ValueError, match="bit width"):
-            TraceMeta("m", 5, "x", "d")
-        with pytest.raises(ValueError, match=r"changes\[0\]\.old"):
-            make_trace([("l", 0, -9, 0)])
-        with pytest.raises(ValueError, match="both 3"):
-            WeightChange("l", 0, 3, 3)
+    def test_first_fault_wins(self):
+        doc = json.loads(self.make_doc(old=-9))
+        doc["changes"].append({"layer": "l", "index": -1, "old": 0, "new": 1})
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == "changes[0].old: expected integer in [-8, 7], got -9"
+
+    def test_shape_errors_come_before_value_errors(self):
+        doc = {"meta": {"method": "m", "b": 5, "model": "x", "dataset": "d"},
+               "changes": [{**GOOD_CHANGE, "new": 1}, without("old")]}
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == "changes[1]: missing field 'old'"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceParseError):
@@ -300,6 +307,18 @@ class TestSynthesize:
         assert a == b
         assert trace_to_json(a) == trace_to_json(b)
 
+    @pytest.mark.parametrize("b, seed, digest", [
+        (4, 0, "129b71b7657ec397ea2e8c187ffd269686a55f5fe2bae977da3082e5662e1164"),
+        (4, 7, "abbec5807ee0752c162b946a32c73db151654996793176c4e907edd1714aed44"),
+        (4, 12345, "9da35076a41b7285d4d943e0021c9a6a4cb64d62cad3d5b07504e79b80d6b87f"),
+        (8, 0, "bc2e4e555d67ab58458af4e2aadbe806398bf36b06c944b40b5f71e4692c2695"),
+        (8, 7, "5f97424e552425205d9c6392207862199bf3d0789b7443b1d354beed8b7bad95"),
+        (8, 12345, "b30a0585a1e29fd11ff48b2cfae64bd9f243d0ed73ed96ee48bbbdf170ff7283"),
+    ])
+    def test_golden_output(self, b, seed, digest):
+        text = trace_to_json(synthesize_trace(b, 2000, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_seed_changes_the_trace(self):
         assert synthesize_trace(4, 200, seed=1) != synthesize_trace(4, 200, seed=2)
 
@@ -410,13 +429,31 @@ class TestWallClock:
 
 
 class TestChangeValidation:
+    """AttackTrace checks built traces with the messages parse_trace gives."""
+
+    def check(self, changes, message, b=4):
+        with pytest.raises(ValueError) as info:
+            make_trace(changes, b)
+        assert str(info.value) == message
+
+    def test_bad_width_rejected(self):
+        self.check([], "meta.b: bit width must be one of (4, 8), got 5", b=5)
+
     def test_no_op_rejected(self):
-        with pytest.raises(ValueError):
-            WeightChange("l", 0, 3, 3)
+        self.check([("l", 0, 3, 3)], "changes[0]: old and new are both 3")
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            WeightChange("l", -1, 0, 1)
+        self.check([("l", -1, 0, 1)], "changes[0]: index must be nonnegative, got -1")
+
+    def test_first_bad_change_wins(self):
+        self.check([("l", 0, 8, 0), ("l", -1, 0, 1)],
+                   "changes[0].old: expected integer in [-8, 7], got 8")
+
+    def test_records_are_plain_tuples(self):
+        assert WeightChange("l", 0, 3, 4) == ("l", 0, 3, 4)
+        assert TraceMeta("m", 4, "x", "d") == ("m", 4, "x", "d")
+        # a record's own fields are not checked until it joins a trace
+        assert TraceMeta("m", 5, "x", "d").b == 5
 
     def test_trace_range_check(self):
         meta = TraceMeta("m", 4, "x", "d")
