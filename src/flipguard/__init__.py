@@ -39,7 +39,7 @@ from .encoding import (
     greedy_basis,
     twos_complement_matrix,
 )
-from .quantize import QuantConfig, flip_count, quantize, twos_complement_bits
+from .quantize import QuantConfig, quantize
 from .traces import (
     AttackTrace,
     CostStats,

@@ -68,35 +68,12 @@ class BitWord:
             raise ValueError(f"bits {self.bits:#x} do not fit in {self.n} bits")
 
     @classmethod
-    def from_string(cls, s: str) -> "BitWord":
-        """Parse a string of 0s and 1s, leftmost character = coordinate 1."""
-        if not s or set(s) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {s!r}")
-        return cls(int(s, 2), len(s))
-
-    @classmethod
     def from_hex(cls, s: str, n: int) -> "BitWord":
         return cls(int(s, 16), n)
 
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def coord(self, i: int) -> int:
-        """Bit at coordinate i, 1-indexed from the left."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return (self.bits >> (self.n - i)) & 1
-
-    def flip(self, i: int) -> "BitWord":
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return BitWord(self.bits ^ (1 << (self.n - i)), self.n)
-
-    def __xor__(self, other: "BitWord") -> "BitWord":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitWord(self.bits ^ other.bits, self.n)
 
     def hex(self) -> str:
         return f"{self.bits:0{(self.n + 3) // 4}X}"
@@ -182,10 +159,6 @@ class BinaryCode:
     @property
     def dimension(self) -> int:
         return len(self.generator)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.dimension
 
     @cached_property
     def codewords(self) -> tuple[BitWord, ...]:

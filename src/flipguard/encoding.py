@@ -104,13 +104,6 @@ class DistanceMatrix:
     b: int
     entries: tuple[tuple[int, ...], ...]
 
-    def at(self, u: int, v: int) -> int:
-        """Cost of changing signed value u into v."""
-        half = 1 << (self.b - 1)
-        if not (-half <= u < half and -half <= v < half):
-            raise ValueError(f"values must lie in [{-half}, {half - 1}]")
-        return self.entries[u + half][v + half]
-
 
 def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
     """Max-weight-first basis: e1 gets the heaviest codeword, then each

@@ -4,15 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import BitWord
-
 __all__ = [
     "QuantConfig",
-    "flip_count",
-    "flip_pattern",
     "quantize",
     "signed_value",
-    "twos_complement_bits",
     "value_range",
 ]
 
@@ -55,31 +50,9 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
     return -half if v < -half else half - 1 if v >= half else v
 
 
-def twos_complement_bits(v: int, b: int) -> BitWord:
-    """The b-bit two's-complement pattern of v, coordinate 1 = sign bit."""
-    lo, hi = value_range(b)
-    if not lo <= v <= hi:
-        raise ValueError(f"value {v} out of range [{lo}, {hi}]")
-    return BitWord(v & ((1 << b) - 1), b)
-
-
 def signed_value(pattern: int, b: int) -> int:
-    """Inverse of twos_complement_bits on raw pattern ints."""
+    """The signed value of a b-bit two's-complement pattern int."""
     if not 0 <= pattern < (1 << b):
         raise ValueError(f"pattern {pattern:#x} does not fit in {b} bits")
     half = 1 << (b - 1)
     return pattern - (1 << b) if pattern >= half else pattern
-
-
-def flip_pattern(u: int, v: int, b: int) -> int:
-    """The bits that differ between the b-bit patterns of u and v."""
-    lo, hi = value_range(b)
-    for x in (u, v):
-        if not lo <= x <= hi:
-            raise ValueError(f"value {x} out of range [{lo}, {hi}]")
-    return (u ^ v) & ((1 << b) - 1)
-
-
-def flip_count(u: int, v: int, b: int) -> int:
-    """Bit flips needed to turn the pattern of u into the pattern of v."""
-    return flip_pattern(u, v, b).bit_count()

@@ -22,7 +22,7 @@ from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encoding import EncodingMap, _flip_costs
-from .quantize import flip_pattern, signed_value, value_range
+from .quantize import signed_value, value_range
 
 __all__ = [
     "AttackTrace",
@@ -33,7 +33,6 @@ __all__ = [
     "TraceMeta",
     "TraceParseError",
     "WeightChange",
-    "cost_of_change",
     "cost_of_trace",
     "estimated_seconds",
     "load_trace",
@@ -79,21 +78,28 @@ class WeightChange(NamedTuple):
 @dataclass(frozen=True)
 class AttackTrace:
     """A trace whose values obey the rules: ``meta.b`` is a supported width,
-    and each change has a nonnegative index, old != new, and both values in
-    range. Parsed and built traces alike are checked here, meta first, then
-    the changes in order; the first fault raises."""
+    and each change has int (not bool) index, old and new, a nonnegative
+    index, old != new, and both values in range. Parsed and built traces
+    alike are checked here, meta first, then the changes in order; the first
+    fault raises. ``changes`` is stored as a tuple, so what was checked
+    cannot change afterwards."""
 
     meta: TraceMeta
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "changes", tuple(self.changes))
         try:
             lo, hi = value_range(self.meta.b)
         except ValueError as e:
             raise ValueError(f"meta.b: {e}") from None
         for i, (_, index, old, new) in enumerate(self.changes):
-            if index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi:
+            if (type(index) is type(old) is type(new) is int
+                    and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
                 continue
+            for field, v in (("index", index), ("old", old), ("new", new)):
+                if type(v) is not int:
+                    raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")
             if index < 0:
                 raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
             if old == new:
@@ -183,11 +189,6 @@ def trace_to_json(trace: AttackTrace) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def cost_of_change(change: WeightChange, b: int, encoding: EncodingMap | None = None) -> int:
-    """Bit flips this one change needs under the given representation."""
-    return _flip_costs(b, encoding)[flip_pattern(change.old, change.new, b)]
 
 
 def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> int:

@@ -3,14 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from flipguard.quantize import (
-    QuantConfig,
-    flip_count,
-    quantize,
-    signed_value,
-    twos_complement_bits,
-    value_range,
-)
+from flipguard.encoding import twos_complement_matrix
+from flipguard.quantize import QuantConfig, quantize, signed_value, value_range
 
 # value -> 4-bit two's-complement pattern
 FOUR_BIT_PATTERNS = {
@@ -24,29 +18,24 @@ FOUR_BIT_PATTERNS = {
 class TestTwosComplement:
     def test_all_4bit_patterns(self):
         for v, pattern in FOUR_BIT_PATTERNS.items():
-            assert str(twos_complement_bits(v, 4)) == pattern
+            assert signed_value(int(pattern, 2), 4) == v
 
     def test_8bit_edges(self):
-        assert str(twos_complement_bits(-128, 8)) == "10000000"
-        assert str(twos_complement_bits(-1, 8)) == "1" * 8
-        assert str(twos_complement_bits(127, 8)) == "01111111"
+        assert signed_value(0b10000000, 8) == -128
+        assert signed_value(0b11111111, 8) == -1
+        assert signed_value(0b01111111, 8) == 127
 
     def test_sign_bit_is_coordinate_one(self):
-        assert twos_complement_bits(-3, 4).coord(1) == 1
-        assert twos_complement_bits(3, 4).coord(1) == 0
-
-    def test_range_validation(self):
-        for v in (-9, 8):
-            with pytest.raises(ValueError):
-                twos_complement_bits(v, 4)
-        with pytest.raises(ValueError):
-            twos_complement_bits(0, 5)
+        # coordinate 1 is the most significant bit of the pattern
+        for b in (4, 8):
+            for pattern in range(1 << b):
+                assert (signed_value(pattern, b) < 0) == bool(pattern >> (b - 1))
 
     @given(st.sampled_from([4, 8]), st.data())
     def test_signed_value_inverts(self, b, data):
         lo, hi = value_range(b)
         v = data.draw(st.integers(lo, hi))
-        assert signed_value(twos_complement_bits(v, b).bits, b) == v
+        assert signed_value(v & ((1 << b) - 1), b) == v
 
     def test_signed_value_validation(self):
         with pytest.raises(ValueError):
@@ -55,7 +44,19 @@ class TestTwosComplement:
             signed_value(-1, 4)
 
 
+PLAIN_COSTS = {b: twos_complement_matrix(b).entries for b in (4, 8)}
+
+
+def flip_count(u, v, b):
+    """Plain-storage cost of changing signed value u into v."""
+    half = 1 << (b - 1)
+    return PLAIN_COSTS[b][u + half][v + half]
+
+
 class TestFlipCount:
+    """Bit flips between two's-complement patterns, as the plain-storage
+    cost table gives them."""
+
     def test_examples(self):
         assert flip_count(7, 6, 4) == 1
         assert flip_count(-7, -6, 4) == 2
@@ -74,12 +75,6 @@ class TestFlipCount:
     def test_symmetry(self, u, v):
         assert flip_count(u, v, 4) == flip_count(v, u, 4)
         assert (flip_count(u, v, 4) == 0) == (u == v)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            flip_count(-9, 0, 4)
-        with pytest.raises(ValueError):
-            flip_count(0, 130, 8)
 
 
 class TestQuantConfig:

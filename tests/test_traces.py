@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from flipguard.codes import CODE_IDS, code_shape
 from flipguard.encoding import canonical_map, distance_matrix, twos_complement_matrix
-from flipguard.quantize import flip_count, twos_complement_bits
 from flipguard.traces import (
     AttackTrace,
     CostStats,
@@ -19,7 +18,6 @@ from flipguard.traces import (
     TraceMeta,
     TraceParseError,
     WeightChange,
-    cost_of_change,
     cost_of_trace,
     estimated_seconds,
     load_trace,
@@ -192,9 +190,9 @@ class TestCost:
         assert cost_of_trace(trace, canonical_map("C9_4")) == 24
 
     def test_single_change_costs(self):
-        c = WeightChange("l", 0, -1, 7)
-        assert cost_of_change(c, 4) == 1
-        assert cost_of_change(c, 4, canonical_map("C7_3")) == 7
+        trace = make_trace([("l", 0, -1, 7)])
+        assert cost_of_trace(trace) == 1
+        assert cost_of_trace(trace, canonical_map("C7_3")) == 7
 
     def test_empty_trace_costs_nothing(self):
         assert cost_of_trace(make_trace([])) == 0
@@ -211,18 +209,19 @@ class TestCost:
     @pytest.mark.parametrize("code_id", [None, "C7_3"])
     def test_out_of_range_change_is_rejected(self, code_id):
         m = code_id and canonical_map(code_id)
-        with pytest.raises(ValueError, match=r"value 100 out of range \[-8, 7\]"):
-            cost_of_change(WeightChange("x", 0, 100, 3), 4, m)
+        # the trace refuses the change, so no representation ever costs it
+        with pytest.raises(ValueError, match=r"changes\[0\]\.old: .* got 100"):
+            cost_of_trace(make_trace([("x", 0, 100, 3)]), m)
 
     @given(st.integers(-8, 7), st.integers(-8, 7))
     def test_change_cost_equals_matrix_entry(self, old, new):
         if old == new:
             return
-        change = WeightChange("l", 0, old, new)
+        trace = make_trace([("l", 0, old, new)])
         for code_id in ("C7_3", "C9_4"):
             m = canonical_map(code_id)
-            assert cost_of_change(change, 4, m) == distance_matrix(m).at(old, new)
-        assert cost_of_change(change, 4) == flip_count(old, new, 4)
+            assert cost_of_trace(trace, m) == distance_matrix(m).entries[old + 8][new + 8]
+        assert cost_of_trace(trace) == ((old ^ new) & 0xF).bit_count()
 
     def test_cost_is_additive_over_concatenation(self):
         a = synthesize_trace(4, 40, seed=11)
@@ -234,9 +233,9 @@ class TestCost:
 
 def reference_cost(old, new, b, m=None):
     """The pairwise formula: flips between the two stored words."""
-    if m is None:
-        return (twos_complement_bits(old, b).bits ^ twos_complement_bits(new, b).bits).bit_count()
     mask = (1 << b) - 1
+    if m is None:
+        return ((old & mask) ^ (new & mask)).bit_count()
     return (m.table[old & mask].bits ^ m.table[new & mask].bits).bit_count()
 
 
@@ -253,8 +252,9 @@ class TestCostDifferential:
             for new in range(-half, half):
                 if old == new:
                     continue
-                cost = cost_of_change(WeightChange("l", 0, old, new), b, m)
-                assert cost == reference_cost(old, new, b, m) == matrix.at(old, new)
+                cost = cost_of_trace(make_trace([("l", 0, old, new)], b), m)
+                entry = matrix.entries[old + half][new + half]
+                assert cost == reference_cost(old, new, b, m) == entry
 
     @pytest.mark.parametrize("b", [4, 8])
     def test_traces(self, b):
@@ -351,12 +351,12 @@ class TestSynthesize:
 
     def test_fixed_flip_count(self):
         trace = synthesize_trace(4, 400, multiflip_weights={2: 1.0}, seed=3)
-        assert all(flip_count(c.old, c.new, 4) == 2 for c in trace.changes)
+        assert all(((c.old ^ c.new) & 0xF).bit_count() == 2 for c in trace.changes)
 
     def test_default_calibration_is_visible_in_the_output(self):
         # deterministic seed, so these windows are stable
         trace = synthesize_trace(4, 4000, seed=0)
-        singles = [c for c in trace.changes if flip_count(c.old, c.new, 4) == 1]
+        singles = [c for c in trace.changes if ((c.old ^ c.new) & 0xF).bit_count() == 1]
         assert 0.80 < len(singles) / 4000 < 0.90
         msb_singles = sum(1 for c in singles if (c.old ^ c.new) & 0x8)
         assert abs(msb_singles / len(singles) - DEFAULT_MSB_FRACTION[4]) < 0.04
@@ -454,6 +454,45 @@ class TestChangeValidation:
         assert TraceMeta("m", 4, "x", "d") == ("m", 4, "x", "d")
         # a record's own fields are not checked until it joins a trace
         assert TraceMeta("m", 5, "x", "d").b == 5
+
+    def test_changes_are_stored_as_a_tuple(self):
+        meta = TraceMeta("m", 4, "x", "d")
+        given_changes = [WeightChange("l", 0, 1, 2)]
+        trace = AttackTrace(meta, given_changes)
+        assert trace.changes == (WeightChange("l", 0, 1, 2),)
+        # neither the caller's list nor the trace can grow a change unchecked
+        given_changes.append(WeightChange("l", 1, -1, 9))
+        with pytest.raises(AttributeError):
+            trace.changes.append(WeightChange("l", 1, -1, 9))
+        assert cost_of_trace(trace) == 2
+        assert AttackTrace(meta, trace.changes).changes is trace.changes
+
+    @pytest.mark.parametrize("change, message", [
+        (("l", 0, 1.0, 2), "changes[0].old: expected int, got float"),
+        (("l", 0, True, 2), "changes[0].old: expected int, got bool"),
+        (("l", 0, 1, 2.0), "changes[0].new: expected int, got float"),
+        (("l", 1.0, 1, 2), "changes[0].index: expected int, got float"),
+        (("l", False, 1, 2), "changes[0].index: expected int, got bool"),
+        (("l", "0", 1, 2), "changes[0].index: expected int, got str"),
+    ], ids=["old-float", "old-bool", "new-float", "index-float", "index-bool", "index-str"])
+    def test_non_int_fields_rejected(self, change, message):
+        self.check([change], message)
+        doc = {"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"},
+               "changes": [dict(zip(("layer", "index", "old", "new"), change))]}
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == message
+
+    NUMBERS = st.one_of(st.integers(-9, 9), st.booleans(), st.floats(-9, 9))
+
+    @given(st.sampled_from([4, 8]),
+           st.lists(st.tuples(st.just("l"), NUMBERS, NUMBERS, NUMBERS), max_size=3))
+    def test_built_trace_round_trips_or_fails_at_construction(self, b, changes):
+        try:
+            trace = make_trace(changes, b)
+        except ValueError:
+            return
+        assert parse_trace(trace_to_json(trace)) == trace
 
     def test_trace_range_check(self):
         meta = TraceMeta("m", 4, "x", "d")
