@@ -20,8 +20,12 @@ anything else, a parseable header with an unknown code id or a shape not
 the code's included, is `CorruptBlobError`. A custom map's blob verifies
 only in memory.
 
-Decoding is detection-only. A slice that is not a codeword is reported,
-never silently corrected, and no values are returned for a dirty blob.
+Detection is the syndrome test: a word w is a codeword iff H·w = 0 over
+GF(2), H being the code's parity-check rows. ``_flagged`` runs it over the
+whole payload at once, one big-int pass per row (bit-slicing), and is the
+only code that decides whether a slice is a codeword. Decoding is
+detection-only. A slice that is not a codeword is reported, never silently
+corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .codes import CODE_IDS, code_shape
@@ -74,9 +78,9 @@ def _cutter(n: int) -> struct.Struct:
     return struct.Struct(f"{n}s" * _CHUNK)
 
 
-def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
-    """The payload as count n-bit b'0'/b'1' strings; checks length and zero
-    padding."""
+def _payload_bits(payload: bytes, n: int, count: int) -> int:
+    """The payload's count n-bit words as one int, the padding shifted out
+    (the last word in the low bits); checks length and zero padding."""
     if n < 1:
         raise ValueError(f"word width must be at least 1, got {n}")
     if count < 0:
@@ -90,10 +94,17 @@ def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
     acc = int.from_bytes(payload, "big")
     if acc & ((1 << pad) - 1):
         raise CorruptBlobError("nonzero padding bits")
+    return acc >> pad
+
+
+def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
+    """The payload as count n-bit b'0'/b'1' strings; checks length and zero
+    padding."""
+    acc = _payload_bits(payload, n, count)
     if not count:
         return []
     fill = -count % _CHUNK
-    bits = format(acc >> pad << fill * n, f"0{(count + fill) * n}b").encode()
+    bits = format(acc << fill * n, f"0{(count + fill) * n}b").encode()
     slices = list(chain.from_iterable(_cutter(n).iter_unpack(bits)))
     del slices[count:]
     return slices
@@ -216,23 +227,48 @@ def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
         )
 
 
-def _scan(m: EncodingMap, blob: EncodedBlob) -> tuple[list[int | None], tuple[int, ...]]:
-    """Every slice's signed value (None for a non-codeword) and the indices
-    of the non-codewords."""
+# b"0"/b"1" to the bytes 0/1 that itertools.compress reads as flags
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[int, ...]:
+    """Ascending indices of the payload words w with H·w != 0.
+
+    For each parity-check row h, the payload int is ANDed with h repeated
+    once per word, and the XOR of every n-bit window is taken with
+    doubling shift-XORs: after t of them, bit j holds the XOR of bits
+    j .. j + 2^t - 1. One window per binary digit of n, laid end to end,
+    covers n bits. The field mask keeps bit 0 of each word, which then
+    holds that word's check bit. Every step is a whole-int operation, so
+    the time is linear in the payload size.
+    """
     _check_header(m, blob)
-    slices = _slices(blob.payload, blob.n, blob.count)
-    # A clean payload raises nowhere, so it needs no pass looking for None.
-    try:
-        return list(map(m.string_values.__getitem__, slices)), ()
-    except KeyError:
-        values = list(map(m.string_values.get, slices))
-        return values, tuple(i for i, v in enumerate(values) if v is None)
+    n, count = blob.n, blob.count
+    acc = _payload_bits(blob.payload, n, count)
+    # bit 0 of every word; 8 words fill n whole bytes, the repeated unit
+    unit = sum(1 << j * n for j in range(8)).to_bytes(n, "big")
+    ones = int.from_bytes(unit * -(-count // 8), "big")
+    bad = 0
+    for h in m.code.parity_checks:
+        x = acc & ones * h
+        odd = offset = 0
+        for t in range(n.bit_length() - 1):  # x: the XOR of 2^t bits
+            if n >> t & 1:
+                odd ^= x >> offset
+                offset += 1 << t
+            x ^= x >> (1 << t)
+        bad |= odd ^ x >> offset  # the top digit of n
+    bad &= ones
+    if not bad:
+        return ()
+    # word i's flag is character i*n + n-1 of the bits, MSB first
+    flags = format(bad, f"0{count * n}b")[n - 1 :: n].encode().translate(_FLAGS)
+    return tuple(compress(range(count), flags))
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:
     """Flag every slice of the payload that is not a codeword."""
-    _, bad = _scan(m, blob)
-    return VerifyReport(bad, blob.count)
+    return VerifyReport(_flagged(m, blob), blob.count)
 
 
 def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport:
@@ -240,8 +276,10 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
 
     No partial output: one corrupted slice suppresses all values.
     """
-    values, bad = _scan(m, blob)
-    return VerifyReport(bad, blob.count) if bad else values
+    bad = _flagged(m, blob)
+    if bad:
+        return VerifyReport(bad, blob.count)
+    return list(map(m.string_values.__getitem__, _slices(blob.payload, blob.n, blob.count)))
 
 
 @dataclass(frozen=True)

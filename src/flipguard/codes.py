@@ -7,7 +7,9 @@ the whole word MSB-first, so the 7-bit word 1111111 prints as ``7F`` and
 
 All GF(2) elimination in the package is here: ``_reduce`` reduces a word
 against an echelon basis, ``_pivots`` builds one, ``_independent`` keeps
-the first independent candidates and ``span_table`` lists a span.
+the first independent candidates, ``span_table`` lists a span and
+``BinaryCode.parity_checks`` reads the check rows off the generator's
+reduced echelon form.
 """
 from __future__ import annotations
 
@@ -176,6 +178,28 @@ class BinaryCode:
 
     def __contains__(self, word: BitWord) -> bool:
         return word.n == self.n and _reduce(word.bits, self._pivots) == 0
+
+    @cached_property
+    def parity_checks(self) -> tuple[int, ...]:
+        """The n - k parity-check rows H: a word w is a codeword iff w & h
+        has even weight for every row h.
+
+        In the reduced echelon form of the generator, the row with pivot p
+        is the only one with bit p set, so a codeword's bit at each free
+        position f is the XOR of its pivot bits p whose row has bit f set.
+        Each free position gives one row: bit f and those pivot bits.
+        """
+        reduced: dict[int, int] = {}
+        for p in sorted(self._pivots):  # clear the lower pivots' bits
+            row = self._pivots[p]
+            for q, lower in reduced.items():
+                if row >> q & 1:
+                    row ^= lower
+            reduced[p] = row
+        return tuple(
+            (1 << f) | sum(1 << p for p, row in reduced.items() if row >> f & 1)
+            for f in reversed(range(self.n)) if f not in reduced
+        )
 
     @cached_property
     def min_distance(self) -> int:

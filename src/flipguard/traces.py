@@ -77,26 +77,34 @@ class WeightChange(NamedTuple):
 
 @dataclass(frozen=True)
 class AttackTrace:
-    """A trace whose values obey the rules: ``meta.b`` is a supported width,
-    and each change has int (not bool) index, old and new, a nonnegative
+    """A trace whose values obey the rules: ``meta`` has str method, model
+    and dataset and an int ``b`` that is a supported width, and each change
+    has a str layer, int (not bool) index, old and new, a nonnegative
     index, old != new, and both values in range. Parsed and built traces
     alike are checked here, meta first, then the changes in order; the first
-    fault raises. ``changes`` is stored as a tuple, so what was checked
-    cannot change afterwards."""
+    fault raises, with the message ``parse_trace`` gives for the same JSON.
+    ``changes`` is stored as a tuple, so what was checked cannot change
+    afterwards."""
 
     meta: TraceMeta
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "changes", tuple(self.changes))
+        for field, v in zip(TraceMeta._fields, self.meta):
+            kind = int if field == "b" else str
+            if type(v) is not kind:
+                raise ValueError(f"meta.{field}: expected {kind.__name__}, got {type(v).__name__}")
         try:
             lo, hi = value_range(self.meta.b)
         except ValueError as e:
             raise ValueError(f"meta.b: {e}") from None
-        for i, (_, index, old, new) in enumerate(self.changes):
-            if (type(index) is type(old) is type(new) is int
+        for i, (layer, index, old, new) in enumerate(self.changes):
+            if (type(layer) is str and type(index) is type(old) is type(new) is int
                     and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
                 continue
+            if type(layer) is not str:
+                raise ValueError(f"changes[{i}].layer: expected str, got {type(layer).__name__}")
             for field, v in (("index", index), ("old", old), ("new", new)):
                 if type(v) is not int:
                     raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")

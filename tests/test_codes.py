@@ -17,6 +17,7 @@ from flipguard.codes import (
     pairwise_min_distance,
     shorten_code,
 )
+from flipguard.encoding import canonical_map
 from reference_tables import EXPECTED_SHAPES, HAMMING7_WORDS
 
 
@@ -334,6 +335,30 @@ class TestBinaryCodeValidation:
         assert 0 in bits
         assert all(a ^ b in bits for a in bits for b in bits)
         assert len(bits) == 1 << c.dimension
+
+
+PARITY_CODES = {
+    **{f"map-{cid}": canonical_map(cid).code for cid in CODE_IDS},
+    **{f"build-{cid}": build_code(cid) for cid in CODE_IDS},
+    **{f"hamming-{r}": construct_hamming(r) for r in range(2, 7)},
+}
+
+
+class TestParityChecks:
+    @pytest.mark.parametrize("code", PARITY_CODES.values(), ids=PARITY_CODES.keys())
+    def test_rows_are_independent_and_orthogonal_to_the_generator(self, code):
+        rows = code.parity_checks
+        assert len(rows) == code.n - code.dimension
+        assert all(0 < h < 1 << code.n for h in rows)
+        for g in code.generator:
+            assert all((g.bits & h).bit_count() % 2 == 0 for h in rows)
+        # independent: no nonempty subset of the rows XORs to zero
+        for k in range(1, len(rows) + 1):
+            for subset in itertools.combinations(rows, k):
+                acc = 0
+                for h in subset:
+                    acc ^= h
+                assert acc
 
 
 @pytest.mark.parametrize("code", [

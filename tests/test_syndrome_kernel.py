@@ -1,0 +1,76 @@
+"""The bit-sliced syndrome kernel's verdicts against codeword membership.
+
+Every n-bit word of every code goes through ``verify_blob`` alone and all
+together; short counts and counts beside the field mask's 8-word byte period
+are checked, with planted flips, against ``reference_scan``.
+"""
+import random
+
+import pytest
+
+from flipguard.blob import EncodedBlob, decode_tensor, encode_tensor, pack_words, verify_blob
+from flipguard.codes import CODE_IDS, BinaryCode, BitWord
+from flipguard.encoding import EncodingMap, canonical_map
+
+from test_codec_differential import random_values, reference_scan, scan_both, with_payload
+
+# 1..17, then 8j - 1 and 8j + 1 further out
+PERIOD_COUNTS = (*range(1, 18), *(8 * j + s for j in (3, 4, 7, 16, 128) for s in (-1, 1)))
+
+
+def blob_of(m, words):
+    n = m.code.n
+    return EncodedBlob(m.code_id, m.b, n, len(words), "l", pack_words(words, n))
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_every_word_alone_matches_membership(code_id):
+    m = canonical_map(code_id)
+    members = {w.bits for w in m.table}
+    for word in range(1 << m.code.n):
+        report = verify_blob(m, blob_of(m, [word]))
+        assert report.clean == (word in members)
+        assert report.corrupted_indices == (() if word in members else (0,))
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_all_words_in_one_blob_match_membership(code_id):
+    m = canonical_map(code_id)
+    members = {w.bits for w in m.table}
+    everything = list(range(1 << m.code.n))
+    report = verify_blob(m, blob_of(m, everything))
+    assert report.corrupted_indices == tuple(w for w in everything if w not in members)
+    # reversed, so that each word sits at another offset in the payload
+    report = verify_blob(m, blob_of(m, everything[::-1]))
+    assert report.corrupted_indices == tuple(
+        i for i, w in enumerate(everything[::-1]) if w not in members)
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+@pytest.mark.parametrize("count", PERIOD_COUNTS)
+def test_period_counts_with_planted_flips_match_reference(code_id, count):
+    m = canonical_map(code_id)
+    n = m.code.n
+    rng = random.Random(f"{code_id}/{count}/period")
+    values = random_values(rng, m, count)
+    clean = encode_tensor(m, values, "l")
+    assert scan_both(m, clean) == reference_scan(m, clean.payload, count) == (values, ())
+    for _ in range(3):
+        payload = bytearray(clean.payload)
+        # any number of flips per word, so some patterns are codewords and pass
+        for i in rng.sample(range(count), rng.randint(1, min(count, 5))):
+            for j in rng.sample(range(n), rng.randint(1, n)):
+                bit = i * n + j
+                payload[bit // 8] ^= 0x80 >> (bit % 8)
+        dirty = with_payload(clean, payload)
+        assert scan_both(m, dirty) == reference_scan(m, dirty.payload, count)
+
+
+def test_full_dimension_code_flags_nothing():
+    units = tuple(BitWord(1 << i, 4) for i in reversed(range(4)))
+    m = EncodingMap(BinaryCode(4, units), units)
+    assert m.code.parity_checks == ()
+    words = list(range(16)) * 3
+    blob = EncodedBlob("custom", 4, 4, len(words), "l", pack_words(words, 4))
+    assert verify_blob(m, blob).clean
+    assert decode_tensor(m, blob) == [w - 16 if w >= 8 else w for w in words]

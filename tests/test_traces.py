@@ -483,6 +483,38 @@ class TestChangeValidation:
             parse_trace(json.dumps(doc))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("layer", [1, None, True, 1.5], ids=["int", "None", "bool", "float"])
+    def test_non_str_layer_rejected(self, layer):
+        message = f"changes[0].layer: expected str, got {type(layer).__name__}"
+        self.check([(layer, 0, 1, 2)], message)
+        doc = {"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"},
+               "changes": [{**GOOD_CHANGE, "layer": layer}]}
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("meta, message", [
+        ((None, 4, "x", "d"), "meta.method: expected str, got NoneType"),
+        (("m", 4.0, "x", "d"), "meta.b: expected int, got float"),
+        (("m", 8.0, "x", "d"), "meta.b: expected int, got float"),
+        (("m", True, "x", "d"), "meta.b: expected int, got bool"),
+        (("m", "4", "x", "d"), "meta.b: expected int, got str"),
+        (("m", 4, 7, "d"), "meta.model: expected str, got int"),
+        (("m", 4, "x", ["d"]), "meta.dataset: expected str, got list"),
+        # several faults: the first field in method, b, model, dataset order wins
+        ((1, 5.0, 2, 3), "meta.method: expected str, got int"),
+        (("m", 5, 2, "d"), "meta.model: expected str, got int"),
+    ], ids=["method-None", "b-float-4", "b-float-8", "b-bool", "b-str", "model-int",
+            "dataset-list", "method-first", "types-before-width"])
+    def test_bad_meta_rejected_like_parse_trace(self, meta, message):
+        with pytest.raises(ValueError) as info:
+            AttackTrace(TraceMeta(*meta), (WeightChange("l", 0, 1, 2),))
+        assert str(info.value) == message
+        doc = {"meta": dict(zip(TraceMeta._fields, meta)), "changes": [GOOD_CHANGE]}
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(json.dumps(doc))
+        assert str(info.value) == message
+
     NUMBERS = st.one_of(st.integers(-9, 9), st.booleans(), st.floats(-9, 9))
 
     @given(st.sampled_from([4, 8]),
@@ -490,6 +522,20 @@ class TestChangeValidation:
     def test_built_trace_round_trips_or_fails_at_construction(self, b, changes):
         try:
             trace = make_trace(changes, b)
+        except ValueError:
+            return
+        assert parse_trace(trace_to_json(trace)) == trace
+
+    JSON_SCALARS = st.one_of(st.text(max_size=3), st.integers(-9, 9), st.booleans(),
+                             st.floats(-9, 9), st.none())
+
+    @given(st.tuples(JSON_SCALARS, st.one_of(st.sampled_from([4, 8, 4.0, 8.0]), JSON_SCALARS),
+                     JSON_SCALARS, JSON_SCALARS),
+           st.lists(st.tuples(JSON_SCALARS, st.integers(0, 9), st.integers(-8, 7),
+                              st.integers(-8, 7)), max_size=3))
+    def test_any_built_trace_round_trips_or_fails_at_construction(self, meta, changes):
+        try:
+            trace = AttackTrace(TraceMeta(*meta), tuple(WeightChange(*c) for c in changes))
         except ValueError:
             return
         assert parse_trace(trace_to_json(trace)) == trace
