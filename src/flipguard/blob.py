@@ -23,13 +23,17 @@ only in memory.
 Detection is the syndrome test: a word w is a codeword iff H·w = 0 over
 GF(2), H being the code's parity-check rows. ``_flagged`` runs it over the
 whole payload at once, one big-int pass per row (bit-slicing), and is the
-only code that decides whether a slice is a codeword. Decoding is
-detection-only. A slice that is not a codeword is reported, never silently
-corrected, and no values are returned for a dirty blob.
+only code that decides whether a slice is a codeword. Encoding and clean
+decoding move each value as one byte through the map's per-byte tables,
+which ``bytes.translate`` applies to whole lanes of the payload's bit
+string. Decoding is detection-only. A slice that is not a codeword is
+reported, never silently corrected, and no values are returned for a
+dirty blob.
 """
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -208,15 +212,33 @@ class VerifyReport:
         return not self.corrupted_indices
 
 
+# The bytes of the b-bit values, b < 8: a value byte outside them is one
+# that array("b") takes but encode_value refuses (8..127 or -128..-9 at b=4).
+_IN_RANGE = {b: bytes(v & 0xFF for v in range(-(1 << b - 1), 1 << b - 1)) for b in range(1, 8)}
+
+
 def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> EncodedBlob:
-    """Encode quantized values into a blob under the given map."""
-    half = 1 << (m.b - 1)
-    if values and (min(values) < -half or max(values) >= half):
+    """Encode quantized values into a blob under the given map.
+
+    Each value becomes one byte, and each coordinate j of the codewords one
+    lane of the bit string: every n-th character from j, which translating
+    the value bytes through the map's table for j fills in one C-level pass.
+    """
+    if isinstance(values, (bytes, bytearray)):  # array() would take them raw
+        values = list(values)
+    try:  # refuses non-ints, and values outside -128..127
+        vb = array("b", values).tobytes()
+    except (TypeError, OverflowError):
+        vb = None
+    if vb is None or m.b < 8 and vb.translate(None, _IN_RANGE[m.b]):
         for v in values:
-            encode_value(m, v)  # raises for the first value out of range
-    strings = m.codeword_strings
-    bits = "".join([strings[v] for v in values])
-    return EncodedBlob(m.code_id, m.b, m.code.n, len(values), layer_id, _to_payload(bits))
+            encode_value(m, v)  # raises for the first value it refuses
+        raise TypeError("values must be ints")
+    n = m.code.n
+    bits = bytearray(len(vb) * n)
+    for j, lane in enumerate(m._lanes):
+        bits[j::n] = vb.translate(lane)
+    return EncodedBlob(m.code_id, m.b, n, len(vb), layer_id, _to_payload(bits))
 
 
 def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
@@ -279,7 +301,17 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
     bad = _flagged(m, blob)
     if bad:
         return VerifyReport(bad, blob.count)
-    return list(map(m.string_values.__getitem__, _slices(blob.payload, blob.n, blob.count)))
+    n, count = blob.n, blob.count
+    if not count:
+        return []
+    # A clean word's value follows from its b information bits: read each
+    # off its plane, every n-th character of the payload's bit string, into
+    # one information byte per word.
+    bits = format(_payload_bits(blob.payload, n, count), f"0{count * n}b").encode()
+    info = 0
+    for j, plane in m._planes:
+        info |= int.from_bytes(bits[j::n].translate(plane), "big")
+    return memoryview(info.to_bytes(count, "big").translate(m._values)).cast("b").tolist()
 
 
 @dataclass(frozen=True)

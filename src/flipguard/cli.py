@@ -30,7 +30,7 @@ from .encoding import (
     distance_matrix,
     twos_complement_matrix,
 )
-from .quantize import value_range
+from .quantize import QuantConfig, quantize, value_range
 from .traces import (
     AttackTrace,
     cost_of_trace,
@@ -238,17 +238,26 @@ def cmd_bench(args) -> int:
     lo, hi = value_range(m.b)
     rng = random.Random(args.seed)
     values = [rng.randint(lo, hi) for _ in range(args.count)]
+    weights = [rng.gauss(0.0, 1.0) for _ in range(args.count)]
+    cfg = QuantConfig(m.b, 3.0 / (hi + 1))  # clamps beyond 3 sigma
+    # One untimed round first, so that the map's lazily built tables land
+    # in no stage's time.
+    warm = encode_tensor(m, values[:64], "bench")
+    verify_blob(m, warm)
+    decode_tensor(m, warm)
     t0 = time.perf_counter()
-    blob = encode_tensor(m, values, "bench")
+    [quantize(w, cfg) for w in weights]
     t1 = time.perf_counter()
-    raw = blob.to_bytes()
+    blob = encode_tensor(m, values, "bench")
     t2 = time.perf_counter()
-    blob = EncodedBlob.from_bytes(raw)
+    raw = blob.to_bytes()
     t3 = time.perf_counter()
-    verify_blob(m, blob)
+    blob = EncodedBlob.from_bytes(raw)
     t4 = time.perf_counter()
-    decode_tensor(m, blob)
+    verify_blob(m, blob)
     t5 = time.perf_counter()
+    decode_tensor(m, blob)
+    t6 = time.perf_counter()
     if args.json:
         print(json.dumps({
             "code": args.code,
@@ -256,12 +265,12 @@ def cmd_bench(args) -> int:
             "seed": args.seed,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "seconds": {"encode": t1 - t0, "serialize": t2 - t1, "parse": t3 - t2,
-                        "verify": t4 - t3, "decode": t5 - t4},
+            "seconds": {"quantize": t1 - t0, "encode": t2 - t1, "serialize": t3 - t2,
+                        "parse": t4 - t3, "verify": t5 - t4, "decode": t6 - t5},
         }, sort_keys=True))
         return 0
     print(f"code={args.code} count={args.count} "
-          f"encode_s={t1 - t0:.4f} verify_s={t4 - t3:.4f} decode_s={t5 - t4:.4f}")
+          f"encode_s={t2 - t1:.4f} verify_s={t5 - t4:.4f} decode_s={t6 - t5:.4f}")
     return 0
 
 
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.add_argument("--out")
 
-    p = add("bench", cmd_bench, help="time encode/verify/decode on random data")
+    p = add("bench", cmd_bench, help="time quantize/encode/verify/decode on random data")
     p.add_argument("--code", required=True, choices=CODE_IDS)
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

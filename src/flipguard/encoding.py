@@ -53,9 +53,10 @@ class EncodingMap:
     """Linear bijection between b-bit patterns and the codewords of ``code``.
 
     ``basis_images[i]`` is the codeword for unit pattern e_(i+1), e1 being
-    the MSB; they must be b independent codewords, b = ``code.dimension``.
-    Every other codeword follows by linearity, so a non-linear map cannot
-    be built.
+    the MSB; they must be b independent codewords, b = ``code.dimension``,
+    which is at most 8: the bulk codec moves each value as one byte. Every
+    other codeword follows by linearity, so a non-linear map cannot be
+    built.
     """
 
     code: BinaryCode
@@ -65,6 +66,8 @@ class EncodingMap:
     def __post_init__(self) -> None:
         images = tuple(self.basis_images)
         object.__setattr__(self, "basis_images", images)
+        if self.code.dimension > 8:
+            raise ValueError(f"code dimension must be at most 8, got {self.code.dimension}")
         if len(images) != self.code.dimension:
             raise ValueError(f"need {self.code.dimension} basis images, got {len(images)}")
         if any(w not in self.code for w in images):
@@ -85,16 +88,39 @@ class EncodingMap:
         return tuple(BitWord(w, n) for w in span_table([w.bits for w in self.basis_images]))
 
     @cached_property
-    def codeword_strings(self) -> tuple[str, ...]:
-        """``table`` as '0'/'1' strings. Being indexed by unsigned pattern,
-        it also maps an in-range signed value v to its codeword as ``[v]``."""
-        return tuple(format(w.bits, f"0{self.code.n}b") for w in self.table)
+    def _lanes(self) -> tuple[bytes, ...]:
+        """Translate tables, one per coordinate j = 1..n, from a value's
+        byte (its low 8 two's-complement bits) to b"0" or b"1": the bit at
+        j of the value's codeword."""
+        n, mask = self.code.n, (1 << self.b) - 1
+        words = [self.table[k & mask].bits for k in range(256)]
+        return tuple(bytes(b"01"[w >> n - j & 1] for w in words) for j in range(1, n + 1))
 
     @cached_property
-    def string_values(self) -> dict[bytes, int]:
-        """Codeword as b'0'/b'1' bytes back to its signed value."""
-        return {s.encode(): signed_value(k, self.b)
-                for k, s in enumerate(self.codeword_strings)}
+    def _planes(self) -> tuple[tuple[int, bytes], ...]:
+        """(j, table) per bit i of the information byte (see
+        ``_information``): j is that bit's index in a word's b"0"/b"1"
+        string, and the table translates b"0"/b"1" to the bytes 0 and
+        1 << i."""
+        n = self.code.n
+        return tuple((n - 1 - p, bytes.maketrans(b"01", bytes((0, 1 << i))))
+                     for i, p in enumerate(sorted(self.code._pivots)))
+
+    @cached_property
+    def _values(self) -> bytes:
+        """Translate table from a codeword's information byte (see
+        ``_information``) to its value's byte."""
+        out = bytearray(256)
+        for k, w in enumerate(self.table):
+            out[_information(self.code, w.bits)] = signed_value(k, self.b) & 0xFF
+        return bytes(out)
+
+
+def _information(code: BinaryCode, bits: int) -> int:
+    """A word's information byte: bit i is the word's bit at the i-th lowest
+    pivot position of the code's echelon basis. The echelon rows are
+    triangular on those b positions, so no two codewords share one."""
+    return sum((bits >> p & 1) << i for i, p in enumerate(sorted(code._pivots)))
 
 
 @dataclass(frozen=True)
@@ -147,8 +173,8 @@ def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
     """
     if word.n != m.code.n:
         raise ValueError(f"expected {m.code.n}-bit words, got {word.n}")
-    v = m.string_values.get(str(word).encode())
-    if v is None:
+    v = (m._values[_information(m.code, word.bits)] ^ 0x80) - 0x80  # signed byte
+    if m.table[v & ((1 << m.b) - 1)] != word:
         nearest = min(hamming_distance(word, w) for w in m.table)
         return DetectionReport(word, nearest)
     return v

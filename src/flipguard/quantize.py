@@ -39,6 +39,16 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
     Halfway cases round to even, then the result is clamped to the signed
     b-bit range.
     """
+    # Fast path: for x in [-half - 1/2, half - 1/2), half from _WIDTHS,
+    # round(x) needs no clamp. NaN fails the test, so NaN, +-inf and
+    # overflowed ratios take the checks below, as does anything the
+    # division or the comparison refuses; those raise as they always have.
+    try:
+        x = omega / cfg.delta
+        if (-8.5 <= x < 7.5) if cfg.bits == 4 else (-128.5 <= x < 127.5):
+            return round(x)
+    except (TypeError, OverflowError):
+        pass
     if not math.isfinite(omega):
         raise ValueError(f"weight must be finite, got {omega}")
     # cfg.bits was validated by QuantConfig

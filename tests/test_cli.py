@@ -355,9 +355,17 @@ class TestBench:
         assert {k: doc[k] for k in ("code", "count", "seed")} == {
             "code": "C14_4", "count": 3000, "seed": 3}
         assert doc["python"] and doc["machine"]
-        assert sorted(doc["seconds"]) == ["decode", "encode", "parse", "serialize",
-                                          "verify"]
+        assert sorted(doc["seconds"]) == ["decode", "encode", "parse", "quantize",
+                                          "serialize", "verify"]
         assert all(t >= 0 for t in doc["seconds"].values())
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_tiny_counts(self, capsys, count):
+        code, out, _ = run(capsys, "bench", "--code", "C13_4", "--count", count, "--json")
+        assert code == 0
+        assert json.loads(out)["count"] == int(count)
+        code, out, _ = run(capsys, "bench", "--code", "C7_3", "--count", count)
+        assert code == 0 and out.startswith(f"code=C7_3 count={count} encode_s=")
 
     def test_negative_count_is_bad_input(self, capsys):
         code, out, err = run(capsys, "bench", "--code", "C7_3", "--count", "-5")

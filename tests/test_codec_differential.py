@@ -1,11 +1,15 @@
-"""The bulk codec against word-by-word references, for all six codes.
+"""The bulk codec against word-by-word references, for all six codes and
+random custom maps.
 
 ``reference_pack`` (from test_blob) packs through an explicit bit string one
 byte at a time. ``reference_scan`` unpacks one word at a time and tests each
-for membership in the map's table. Neither uses the map's cached strings.
+for membership in the map's table. Neither uses the map's cached byte tables.
 """
 import random
 import time
+from functools import reduce
+from itertools import chain
+from operator import xor
 
 import pytest
 
@@ -21,8 +25,8 @@ from flipguard.blob import (
     verify_blob,
     _cutter,
 )
-from flipguard.codes import CODE_IDS
-from flipguard.encoding import canonical_map, encode_value
+from flipguard.codes import CODE_IDS, BinaryCode, BitWord
+from flipguard.encoding import EncodingMap, canonical_map, decode_value, encode_value
 
 from test_blob import reference_pack
 
@@ -173,14 +177,16 @@ def test_unpack_random_payloads_match_reference(n):
 
 def test_cut_formats_depend_on_the_width_alone():
     # One cached format per word width; one per layer size would hold
-    # memory in proportion to the largest layer ever read.
+    # memory in proportion to the largest layer ever read. Only
+    # unpack_words cuts words.
     _cutter.cache_clear()
     rng = random.Random("cutters")
     widths = set()
     for i, count in enumerate(rng.sample(range(1, 5 * K), 40)):
         m = canonical_map(CODE_IDS[i % len(CODE_IDS)])
-        blob = encode_tensor(m, random_values(rng, m, count), "l")
-        assert verify_blob(m, blob).clean
+        values = random_values(rng, m, count)
+        blob = encode_tensor(m, values, "l")
+        assert unpack_words(blob.payload, m.code.n, count) == reference_words(m, values)
         widths.add(m.code.n)
     assert _cutter.cache_info().currsize <= len(widths)
     assert all(_cutter(n).size == n * K for n in widths)
@@ -212,3 +218,84 @@ def test_million_value_round_trip():
     assert verify_blob(m, blob).clean
     assert decode_tensor(m, blob) == values
     assert time.perf_counter() - t0 < 60
+
+
+def random_map(rng, code_id):
+    """A custom map over the code of ``code_id``: b random independent
+    codewords as the basis images."""
+    code = canonical_map(code_id).code
+    rows = [g.bits for g in code.generator]
+    while True:
+        images = [BitWord(reduce(xor, (r for r in rows if rng.random() < 0.5), 0), code.n)
+                  for _ in rows]
+        try:
+            return EncodingMap(code, images)
+        except ValueError:  # dependent, or a zero image
+            continue
+
+
+def some_maps(seed):
+    rng = random.Random(f"maps/{seed}")
+    return [canonical_map(c) for c in CODE_IDS] + [random_map(rng, c) for c in CODE_IDS]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_byte_lanes_match_reference_for_canonical_and_custom_maps(seed):
+    rng = random.Random(f"lanes/{seed}")
+    for m in some_maps(seed):
+        for count in (0, 1, 7, 8, 9, 1023, 1025):
+            values = random_values(rng, m, count)
+            blob = encode_tensor(m, values, "l")
+            assert blob.payload == reference_pack(reference_words(m, values), m.code.n)
+            assert decode_tensor(m, blob) == values
+        half = 1 << (m.b - 1)
+        every = list(range(-half, half))
+        assert decode_tensor(m, encode_tensor(m, every, "l")) == every
+        assert [decode_value(m, encode_value(m, v)) for v in every] == every
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_non_int_values_raise_type_error(code_id):
+    m = canonical_map(code_id)
+    for bad in (1.0, 1.5, "3", None):
+        for values in ([bad], [0, 1, bad, -1]):
+            with pytest.raises(TypeError):
+                encode_tensor(m, values, "l")
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_bools_encode_as_their_ints(code_id):
+    m = canonical_map(code_id)
+    blob = encode_tensor(m, [True, False, True], "l")
+    assert blob.payload == encode_tensor(m, [1, 0, 1], "l").payload
+    assert decode_tensor(m, blob) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("code_id", [c for c in CODE_IDS if canonical_map(c).b == 4])
+def test_four_bit_values_that_fit_a_byte_raise_like_encode_value(code_id):
+    # array("b") takes these, so only the codec's own range check refuses them
+    m = canonical_map(code_id)
+    for bad in chain(range(8, 128), range(-128, -8)):
+        with pytest.raises(ValueError) as expected:
+            encode_value(m, bad)
+        with pytest.raises(ValueError) as got:
+            encode_tensor(m, [0, 7, -8, bad, 3], "l")
+        assert str(got.value) == str(expected.value) == f"value {bad} out of range [-8, 7]"
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_bytes_values_are_unsigned_ints(code_id):
+    # bytes hold 0..255; array("b") would read them raw, as -128..127
+    m = canonical_map(code_id)
+    half = 1 << (m.b - 1)
+    assert encode_tensor(m, bytes([0, 1, half - 1]), "l").payload == \
+        encode_tensor(m, [0, 1, half - 1], "l").payload
+    for data in (bytes([0, 255]), bytearray([half])):
+        with pytest.raises(ValueError, match=f"value {data[-1]} out of range"):
+            encode_tensor(m, data, "l")
+
+
+def test_maps_wider_than_a_byte_are_refused():
+    units = tuple(BitWord(1 << i, 9) for i in reversed(range(9)))
+    with pytest.raises(ValueError, match="code dimension must be at most 8, got 9"):
+        EncodingMap(BinaryCode(9, units), units)

@@ -158,3 +158,93 @@ class TestQuantize:
         cfg = QuantConfig(4, 0.07)
         lo, hi = sorted((i, j))
         assert quantize(lo * 0.03, cfg) <= quantize(hi * 0.03, cfg)
+
+
+def reference_quantize(omega, cfg):
+    """quantize as it was before its one-comparison fast path."""
+    if not math.isfinite(omega):
+        raise ValueError(f"weight must be finite, got {omega}")
+    half = 1 << (cfg.bits - 1)
+    try:
+        v = round(omega / cfg.delta)
+    except OverflowError:  # omega / delta overflowed to +-inf
+        v = half if omega > 0 else -half
+    return -half if v < -half else half - 1 if v >= half else v
+
+
+def outcome(f, omega, cfg):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(omega, cfg)
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+
+
+TINY = 5e-324  # the smallest subnormal
+DELTAS = st.one_of(
+    st.sampled_from([TINY, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 0.37,
+                     1.0, 3.0, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=TINY, max_value=1.7976931348623157e308),
+)
+
+
+@st.composite
+def at_fast_path_edges(draw):
+    """(omega, cfg) with omega at, or one ulp from, (+-half +- 1/2) * delta:
+    the ends of the fast path's interval and their mirror images."""
+    bits = draw(st.sampled_from([4, 8]))
+    delta = draw(DELTAS)
+    half = 1 << (bits - 1)
+    edge = draw(st.sampled_from([-half - 0.5, -half + 0.5, half - 0.5, half + 0.5]))
+    omega = edge * delta
+    omega = draw(st.sampled_from([omega, math.nextafter(omega, math.inf),
+                                  math.nextafter(omega, -math.inf)]))
+    return omega, QuantConfig(bits, delta)
+
+
+class TestQuantizeMatchesReference:
+    @given(at_fast_path_edges())
+    def test_at_the_edges_of_the_fast_path(self, case):
+        omega, cfg = case
+        assert outcome(quantize, omega, cfg) == outcome(reference_quantize, omega, cfg)
+
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, TINY, -TINY, 1e300, -1e300,
+                             1.7976931348623157e308, -1.7976931348623157e308]),
+            st.integers(-(10 ** 6), 10 ** 6),
+            st.integers(),
+            st.sampled_from([10 ** 400, -(10 ** 400)]),  # too large for a float
+            st.booleans(),
+        ),
+        DELTAS,
+        st.sampled_from([4, 8]),
+    )
+    def test_any_weight_and_delta(self, omega, delta, bits):
+        cfg = QuantConfig(bits, delta)
+        assert outcome(quantize, omega, cfg) == outcome(reference_quantize, omega, cfg)
+
+    @given(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]), DELTAS,
+           st.sampled_from([4, 8]))
+    def test_non_finite_weights_raise(self, omega, delta, bits):
+        cfg = QuantConfig(bits, delta)
+        with pytest.raises(ValueError, match="weight must be finite"):
+            quantize(omega, cfg)
+        assert outcome(quantize, omega, cfg) == outcome(reference_quantize, omega, cfg)
+
+    def test_non_numbers_raise_as_before(self):
+        cfg = QuantConfig(4, 0.1)
+        for omega in ("0.3", None, 1j, [0.1]):
+            got = outcome(quantize, omega, cfg)
+            assert got == outcome(reference_quantize, omega, cfg)
+            assert got[0] is TypeError
+
+    def test_signed_zero_and_the_widths(self):
+        for bits in (4, 8):
+            cfg = QuantConfig(bits, 0.1)
+            assert quantize(-0.0, cfg) == quantize(0.0, cfg) == 0
+            # the fast path's literal bounds are these widths' half +- 1/2
+            half = -value_range(bits)[0]
+            assert quantize((half - 0.5) * 0.5, QuantConfig(bits, 0.5)) == half - 1
+            assert quantize((-half - 0.5) * 0.5, QuantConfig(bits, 0.5)) == -half
