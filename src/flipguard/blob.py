@@ -129,10 +129,7 @@ def pack_words(words: Iterable[int], n: int) -> bytes:
 
 def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
     """Inverse of pack_words; checks length and zero padding."""
-    slices = _slices(payload, n, count)
-    # int() once per distinct slice: a codeword payload holds at most 2^b
-    as_int = {s: int(s, 2) for s in set(slices)}
-    return [as_int[s] for s in slices]
+    return [int(s, 2) for s in _slices(payload, n, count)]
 
 
 @dataclass(frozen=True)

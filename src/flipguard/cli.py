@@ -240,24 +240,12 @@ def cmd_bench(args) -> int:
     values = [rng.randint(lo, hi) for _ in range(args.count)]
     weights = [rng.gauss(0.0, 1.0) for _ in range(args.count)]
     cfg = QuantConfig(m.b, 3.0 / (hi + 1))  # clamps beyond 3 sigma
-    # One untimed round first, so that the map's lazily built tables land
-    # in no stage's time.
-    warm = encode_tensor(m, values[:64], "bench")
-    verify_blob(m, warm)
-    decode_tensor(m, warm)
-    t0 = time.perf_counter()
-    [quantize(w, cfg) for w in weights]
-    t1 = time.perf_counter()
-    blob = encode_tensor(m, values, "bench")
-    t2 = time.perf_counter()
-    raw = blob.to_bytes()
-    t3 = time.perf_counter()
-    blob = EncodedBlob.from_bytes(raw)
-    t4 = time.perf_counter()
-    verify_blob(m, blob)
-    t5 = time.perf_counter()
-    decode_tensor(m, blob)
-    t6 = time.perf_counter()
+    _, quantize_s = _best(lambda: [quantize(w, cfg) for w in weights])
+    blob, encode_s = _best(lambda: encode_tensor(m, values, "bench"))
+    raw, serialize_s = _best(blob.to_bytes)
+    blob, parse_s = _best(lambda: EncodedBlob.from_bytes(raw))
+    _, verify_s = _best(lambda: verify_blob(m, blob))
+    _, decode_s = _best(lambda: decode_tensor(m, blob))
     if args.json:
         print(json.dumps({
             "code": args.code,
@@ -265,13 +253,24 @@ def cmd_bench(args) -> int:
             "seed": args.seed,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "seconds": {"quantize": t1 - t0, "encode": t2 - t1, "serialize": t3 - t2,
-                        "parse": t4 - t3, "verify": t5 - t4, "decode": t6 - t5},
+            "seconds": {"quantize": quantize_s, "encode": encode_s, "serialize": serialize_s,
+                        "parse": parse_s, "verify": verify_s, "decode": decode_s},
         }, sort_keys=True))
         return 0
     print(f"code={args.code} count={args.count} "
-          f"encode_s={t2 - t1:.4f} verify_s={t5 - t4:.4f} decode_s={t6 - t5:.4f}")
+          f"encode_s={encode_s:.4f} verify_s={verify_s:.4f} decode_s={decode_s:.4f}")
     return 0
+
+
+def _best(stage, seconds=0.2):
+    """``stage()``'s last result and its best single-run time, run for at
+    least ``seconds`` and at least once; lazy set-up lands in the first run."""
+    best, stop = float("inf"), time.perf_counter() + seconds
+    while best == float("inf") or time.perf_counter() < stop:
+        t0 = time.perf_counter()
+        out = stage()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 from .codes import (BinaryCode, BitWord, _independent, _pivots, build_code, code_shape,
                     hamming_distance, span_table)
-from .quantize import signed_value, value_range
+from .quantize import _WIDTHS, signed_value, value_range
 
 __all__ = [
     "DetectionReport",
@@ -115,6 +115,12 @@ class EncodingMap:
             out[_information(self.code, w.bits)] = signed_value(k, self.b) & 0xFF
         return bytes(out)
 
+    @cached_property
+    def _costs(self) -> bytes:
+        """``_flip_costs`` under this map: entry k is table[k]'s weight, at
+        most 64 (``MAX_WORD_LEN``), so it fits a byte."""
+        return bytes(w.bits.bit_count() for w in self.table).ljust(256, b"\0")
+
 
 def _information(code: BinaryCode, bits: int) -> int:
     """A word's information byte: bit i is the word's bit at the i-th lowest
@@ -180,16 +186,19 @@ def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
     return v
 
 
-def _flip_costs(b: int, encoding: EncodingMap | None) -> list[int]:
-    """Bit flips of each b-bit flip pattern k = u ^ v, indexed by k: the
-    weight of k in plain two's complement; under a map, which is linear,
-    the weight of table[u] ^ table[v] == table[k]."""
+_PLAIN_COSTS = {b: bytes(k.bit_count() for k in range(1 << b)).ljust(256, b"\0") for b in _WIDTHS}
+
+
+def _flip_costs(b: int, encoding: EncodingMap | None) -> bytes:
+    """Translate table of the bit flips of each b-bit flip pattern k = u ^ v,
+    zero from 2^b up: the weight of k in plain two's complement; under a
+    map, which is linear, the weight of table[u] ^ table[v] == table[k]."""
     if encoding is None:
         value_range(b)  # validates the width
-        return [k.bit_count() for k in range(1 << b)]
+        return _PLAIN_COSTS[b]
     if encoding.b != b:
         raise ValueError(f"map is {encoding.b}-bit but trace is {b}-bit")
-    return [w.bits.bit_count() for w in encoding.table]
+    return encoding._costs
 
 
 def _cost_matrix(b: int, encoding: EncodingMap | None) -> DistanceMatrix:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -115,6 +116,12 @@ class AttackTrace:
             side, v = ("new", new) if lo <= old <= hi else ("old", old)
             raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
 
+    @cached_property
+    def _patterns(self) -> bytes:
+        """One byte per change, its flip pattern (old ^ new) & (2^b - 1)."""
+        mask = (1 << self.meta.b) - 1
+        return bytes([(old ^ new) & mask for _, _, old, new in self.changes])
+
 
 def _want(obj: Mapping, key: str, kind: type, where: str):
     if key not in obj:
@@ -146,27 +153,21 @@ def parse_trace(text: str) -> AttackTrace:
     dataset = _want(meta_obj, "dataset", str, "meta")
     meta = TraceMeta(method, b, model, dataset)
     raw_changes = _want(doc, "changes", list, "top level")
-    changes = []
-    for i, entry in enumerate(raw_changes):
-        # json.loads yields exact types, so this test accepts what the _want
-        # checks would; they run only to name what is wrong.
-        if not (type(entry) is dict
-                and type(layer := entry.get("layer")) is str
-                and type(index := entry.get("index")) is int
-                and type(old := entry.get("old")) is int
-                and type(new := entry.get("new")) is int):
-            where = f"changes[{i}]"
-            if not isinstance(entry, dict):
-                raise TraceParseError(f"{where}: expected object, got {type(entry).__name__}")
-            layer = _want(entry, "layer", str, where)
-            index = _want(entry, "index", int, where)
-            old = _want(entry, "old", int, where)
-            new = _want(entry, "new", int, where)
-        changes.append(WeightChange(layer, index, old, new))
     try:
-        return AttackTrace(meta, tuple(changes))
-    except ValueError as e:  # the message carries the field path
-        raise TraceParseError(str(e)) from None
+        # json.loads yields exact types, so AttackTrace makes the same type
+        # tests as the _want checks below
+        return AttackTrace(meta, [WeightChange(e["layer"], e["index"], e["old"], e["new"])
+                                  for e in raw_changes])
+    except (TypeError, KeyError, ValueError) as e:
+        error = str(e)
+    # Name the first shape fault, which wins over any value fault
+    for i, entry in enumerate(raw_changes):
+        where = f"changes[{i}]"
+        if not isinstance(entry, dict):
+            raise TraceParseError(f"{where}: expected object, got {type(entry).__name__}")
+        for key, kind in (("layer", str), ("index", int), ("old", int), ("new", int)):
+            _want(entry, key, kind, where)
+    raise TraceParseError(error)  # the message carries the field path
 
 
 def load_trace(path) -> AttackTrace:
@@ -185,12 +186,7 @@ def load_trace(path) -> AttackTrace:
 def trace_to_json(trace: AttackTrace) -> str:
     """Stable serialization: sorted keys, no volatile fields."""
     doc = {
-        "meta": {
-            "method": trace.meta.method,
-            "b": trace.meta.b,
-            "model": trace.meta.model,
-            "dataset": trace.meta.dataset,
-        },
+        "meta": trace.meta._asdict(),
         "changes": [
             {"layer": c.layer, "index": c.index, "old": c.old, "new": c.new}
             for c in trace.changes
@@ -204,9 +200,7 @@ def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> in
 
     ``encoding=None`` replays against plain two's-complement storage.
     """
-    costs = _flip_costs(trace.meta.b, encoding)
-    mask = len(costs) - 1  # AttackTrace has range-checked every change
-    return sum([costs[(c.old ^ c.new) & mask] for c in trace.changes])
+    return sum(trace._patterns.translate(_flip_costs(trace.meta.b, encoding)))
 
 
 @dataclass(frozen=True)

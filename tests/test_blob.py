@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from fractions import Fraction
@@ -94,6 +95,31 @@ class TestPacking:
         with pytest.raises(ValueError, match=r"^count must be nonnegative, got -1$") as info:
             unpack_words(b"", n, -1)
         assert not isinstance(info.value, CorruptBlobError)
+
+
+class TestUnpackDifferential:
+    """unpack_words reads back what the independent bit-string packer wrote."""
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, (1 << n) - 1), max_size=80),
+            )
+        )
+    )
+    def test_reads_reference_pack(self, n_and_words):
+        n, wordlist = n_and_words
+        assert unpack_words(reference_pack(wordlist, n), n, len(wordlist)) == wordlist
+
+    # counts around the 1024-word cutting chunk; random words, so nearly
+    # every word is distinct
+    @pytest.mark.parametrize("n", [1, 7, 8, 13, 14, 33])
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    def test_chunk_boundaries(self, n, count):
+        rng = random.Random(n * 10_000 + count)
+        wordlist = [rng.getrandbits(n) for _ in range(count)]
+        assert unpack_words(reference_pack(wordlist, n), n, count) == wordlist
 
 
 def raw_blob(cid, bits, n, count, lid, payload):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flipguard.cli import main
+from flipguard.cli import _best, main
 from flipguard.traces import parse_trace
 
 from reference_tables import (
@@ -366,6 +366,14 @@ class TestBench:
         assert json.loads(out)["count"] == int(count)
         code, out, _ = run(capsys, "bench", "--code", "C7_3", "--count", count)
         assert code == 0 and out.startswith(f"code=C7_3 count={count} encode_s=")
+
+    def test_stage_repeats_for_its_time_and_reports_the_best_run(self):
+        calls = []
+        out, best = _best(lambda: calls.append(None) or len(calls), seconds=0.02)
+        assert len(calls) > 1 and out == len(calls) and 0 <= best < 0.02
+        calls.clear()
+        out, _ = _best(lambda: calls.append(None) or len(calls), seconds=0)
+        assert out == 1 and calls == [None]
 
     def test_negative_count_is_bad_input(self, capsys):
         code, out, err = run(capsys, "bench", "--code", "C7_3", "--count", "-5")

@@ -1,14 +1,19 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flipguard.codes import CODE_IDS, code_shape
-from flipguard.encoding import canonical_map, distance_matrix, twos_complement_matrix
+from flipguard.encoding import _flip_costs, canonical_map, distance_matrix, twos_complement_matrix
+from flipguard.quantize import signed_value
 from flipguard.traces import (
     AttackTrace,
     CostStats,
@@ -544,3 +549,157 @@ class TestChangeValidation:
         meta = TraceMeta("m", 4, "x", "d")
         with pytest.raises(ValueError):
             AttackTrace(meta, (WeightChange("l", 0, -9, 0),))
+
+
+def reference_want(obj, key, kind, where):
+    """Frozen copy of parse_trace's field check."""
+    if key not in obj:
+        raise TraceParseError(f"{where}: missing field {key!r}")
+    val = obj[key]
+    if not isinstance(val, kind) or isinstance(val, bool):
+        raise TraceParseError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+def reference_parse(text):
+    """Frozen copy of the parse that checked the shape of every change in
+    its own loop before AttackTrace checked the values."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise TraceParseError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise TraceParseError(f"top level: expected object, got {type(doc).__name__}")
+    meta_obj = reference_want(doc, "meta", dict, "top level")
+    meta = TraceMeta(*(reference_want(meta_obj, f, kind, "meta")
+                       for f, kind in zip(TraceMeta._fields, (str, int, str, str))))
+    raw_changes = reference_want(doc, "changes", list, "top level")
+    changes = []
+    for i, entry in enumerate(raw_changes):
+        where = f"changes[{i}]"
+        if not isinstance(entry, dict):
+            raise TraceParseError(f"{where}: expected object, got {type(entry).__name__}")
+        changes.append(WeightChange(*(reference_want(entry, f, kind, where) for f, kind in
+                                      zip(WeightChange._fields, (str, int, int, int)))))
+    try:
+        return AttackTrace(meta, tuple(changes))
+    except ValueError as e:
+        raise TraceParseError(str(e)) from None
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except TraceParseError as e:
+        return "error", str(e)
+
+
+# In-range and out-of-range values of both widths, small negative indices,
+# and repeats, so that old == new comes up often.
+CHANGE_INTS = st.one_of(st.integers(-9, 9), st.sampled_from([-129, -128, 127, 128]))
+BAD_FIELD_VALUES = st.sampled_from([True, False, 0.0, 2.5, float("nan"), "3", "l", None,
+                                    [1], {"a": 1}, 7])
+
+
+@st.composite
+def trace_entries(draw):
+    """A change entry: well formed, with one field missing or of a wrong
+    type, or not an object at all."""
+    kind = draw(st.sampled_from(["good"] * 5 + ["retyped", "missing", "non-object"]))
+    if kind == "non-object":
+        return draw(st.sampled_from([[], [GOOD_CHANGE], "x", 3, 1.5, True, None]))
+    entry = {"layer": "l", "index": draw(st.integers(-2, 3)),
+             "old": draw(CHANGE_INTS), "new": draw(CHANGE_INTS)}
+    if kind == "retyped":
+        entry[draw(st.sampled_from(WeightChange._fields))] = draw(BAD_FIELD_VALUES)
+    elif kind == "missing":
+        del entry[draw(st.sampled_from(WeightChange._fields))]
+    return entry
+
+
+TRACE_DOCS = st.fixed_dictionaries({
+    "meta": st.fixed_dictionaries({
+        "method": st.just("m"),
+        "b": st.sampled_from([4] * 4 + [8] * 4 + [5, 4.0, True, "4"]),
+        "model": st.just("x"),
+        "dataset": st.just("d"),
+    }),
+    "changes": st.lists(trace_entries(), max_size=6),
+})
+
+
+class TestParseDifferential:
+    """parse_trace against a frozen copy of the per-change parse loop: the
+    same trace, or a TraceParseError with the same message."""
+
+    @pytest.mark.parametrize("doc", [
+        # an early value fault, then a later shape fault: the shape fault wins
+        {"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"},
+         "changes": [{**GOOD_CHANGE, "old": 9}, {**GOOD_CHANGE, "index": "1"}]},
+        {"meta": {"method": "m", "b": 5, "model": "x", "dataset": "d"},
+         "changes": [{**GOOD_CHANGE, "new": 1}, without("new"), [1]]},
+        {"meta": {"method": "m", "b": 8, "model": "x", "dataset": "d"},
+         "changes": [GOOD_CHANGE, {**GOOD_CHANGE, "index": -1}, {**GOOD_CHANGE, "old": True}]},
+    ])
+    def test_fixed_documents(self, doc):
+        text = json.dumps(doc)
+        assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse, text)
+
+    @given(TRACE_DOCS)
+    def test_mixed_faults(self, doc):
+        text = json.dumps(doc)
+        assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse, text)
+
+    @given(st.text(max_size=40) | st.sampled_from(["[]", "{}", '{"meta": {}}', "1e999"]))
+    def test_any_text(self, text):
+        assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse, text)
+
+
+class TestCachedPatterns:
+    """Pricing caches one flip-pattern byte per change on the trace; copies
+    of a priced trace must equal and price like a freshly built one."""
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_copies_of_a_priced_trace(self, b):
+        trace = synthesize_trace(b, 300, seed=b)
+        maps = [None, *(canonical_map(c) for c in CODE_IDS if code_shape(c)[0] == b)]
+        costs = [cost_of_trace(trace, m) for m in maps]
+        fresh = AttackTrace(trace.meta, list(trace.changes))
+        for twin in (pickle.loads(pickle.dumps(trace)), copy.copy(trace),
+                     copy.deepcopy(trace), dataclasses.replace(trace), fresh):
+            assert twin == trace == fresh
+            assert hash(twin) == hash(trace) == hash(fresh)
+            assert repr(twin) == repr(fresh)
+            assert [cost_of_trace(twin, m) for m in maps] == costs
+
+    def test_replaced_changes_are_priced_anew(self):
+        trace = make_trace([("l", 0, -8, 7)])
+        m = canonical_map("C7_3")
+        assert (cost_of_trace(trace), cost_of_trace(trace, m)) == (4, 3)
+        other = dataclasses.replace(trace, changes=[WeightChange("l", 0, 0, 1)])
+        assert (cost_of_trace(other), cost_of_trace(other, m)) == (1, reference_cost(0, 1, 4, m))
+        shorter = dataclasses.replace(trace, changes=())
+        assert (cost_of_trace(shorter), cost_of_trace(shorter, m)) == (0, 0)
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_list_built_trace_matches_the_pairwise_formula(self, b):
+        half = 1 << (b - 1)
+        rng = Random(b)
+        changes = []
+        for i in range(400):
+            old, new = rng.sample(range(-half, half), 2)
+            changes.append(WeightChange("l", i, old, new))
+        trace = AttackTrace(TraceMeta("m", b, "x", "d"), changes)
+        for m in (None, *(canonical_map(c) for c in CODE_IDS if code_shape(c)[0] == b)):
+            assert cost_of_trace(trace, m) == sum(
+                reference_cost(c.old, c.new, b, m) for c in changes)
+
+    @pytest.mark.parametrize("b, code_id",
+                             [(4, None), (8, None), *((code_shape(c)[0], c) for c in CODE_IDS)])
+    def test_cost_tables(self, b, code_id):
+        m = code_id and canonical_map(code_id)
+        table = _flip_costs(b, m)
+        assert _flip_costs(b, m) is table  # cached
+        assert len(table) == 256 and not any(table[1 << b:])
+        assert list(table[:1 << b]) == [reference_cost(0, signed_value(k, b), b, m)
+                                        for k in range(1 << b)]
