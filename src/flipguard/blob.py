@@ -22,13 +22,14 @@ only in memory.
 
 Detection is the syndrome test: a word w is a codeword iff H·w = 0 over
 GF(2), H being the code's parity-check rows. ``_flagged`` runs it over the
-whole payload at once, one big-int pass per row (bit-slicing), and is the
-only code that decides whether a slice is a codeword. Encoding and clean
-decoding move each value as one byte through the map's per-byte tables,
-which ``bytes.translate`` applies to whole lanes of the payload's bit
-string. Decoding is detection-only. A slice that is not a codeword is
-reported, never silently corrected, and no values are returned for a
-dirty blob.
+whole payload at once: per row h, the payload int shifted right by each
+set position of h, XORed together, leaves each word's check bit at the
+word's bit 0 (bit-slicing). It is the only code that decides whether a
+slice is a codeword. Encoding and clean decoding move each value as one
+byte through per-byte tables, which ``bytes.translate`` applies to whole
+lanes of the payload's bit string. Decoding is detection-only. A slice
+that is not a codeword is reported, never silently corrected, and no
+values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .codes import CODE_IDS, code_shape
@@ -70,18 +70,6 @@ def _to_payload(bits: str) -> bytes:
     return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
-# Words per cut. Payloads are zero-filled to whole chunks so that one cached
-# format per word width serves every count: a format per count would hold
-# about 32 B per word for each layer size it was cached for.
-_CHUNK = 1024
-
-
-@lru_cache(maxsize=16)
-def _cutter(n: int) -> struct.Struct:
-    """_CHUNK fields of n bytes: cuts n-character words off a bit string."""
-    return struct.Struct(f"{n}s" * _CHUNK)
-
-
 def _payload_bits(payload: bytes, n: int, count: int) -> int:
     """The payload's count n-bit words as one int, the padding shifted out
     (the last word in the low bits); checks length and zero padding."""
@@ -101,19 +89,6 @@ def _payload_bits(payload: bytes, n: int, count: int) -> int:
     return acc >> pad
 
 
-def _slices(payload: bytes, n: int, count: int) -> list[bytes]:
-    """The payload as count n-bit b'0'/b'1' strings; checks length and zero
-    padding."""
-    acc = _payload_bits(payload, n, count)
-    if not count:
-        return []
-    fill = -count % _CHUNK
-    bits = format(acc << fill * n, f"0{(count + fill) * n}b").encode()
-    slices = list(chain.from_iterable(_cutter(n).iter_unpack(bits)))
-    del slices[count:]
-    return slices
-
-
 def pack_words(words: Iterable[int], n: int) -> bytes:
     """Pack n-bit ints contiguously, MSB-first, zero-padding the last byte."""
     if n < 1:
@@ -129,7 +104,11 @@ def pack_words(words: Iterable[int], n: int) -> bytes:
 
 def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
     """Inverse of pack_words; checks length and zero padding."""
-    return [int(s, 2) for s in _slices(payload, n, count)]
+    acc = _payload_bits(payload, n, count)
+    if not count:
+        return []
+    bits = format(acc, f"0{count * n}b").encode()
+    return [int(w, 2) for (w,) in struct.iter_unpack(f"{n}s", bits)]
 
 
 @dataclass(frozen=True)
@@ -221,7 +200,7 @@ def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> 
     lane of the bit string: every n-th character from j, which translating
     the value bytes through the map's table for j fills in one C-level pass.
     """
-    if isinstance(values, (bytes, bytearray)):  # array() would take them raw
+    if not isinstance(values, (list, tuple)):  # read once; array() takes bytes raw
         values = list(values)
     try:  # refuses non-ints, and values outside -128..127
         vb = array("b", values).tobytes()
@@ -246,48 +225,44 @@ def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
         )
 
 
-# b"0"/b"1" to the bytes 0/1 that itertools.compress reads as flags
+# b"0"/b"1" to the bytes 0/1: flags for itertools.compress, and bits for decode
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[int, ...]:
-    """Ascending indices of the payload words w with H·w != 0.
+def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[int, tuple[int, ...]]:
+    """The checked payload int (see ``_payload_bits``) and the ascending
+    indices of its words w with H·w != 0.
 
-    For each parity-check row h, the payload int is ANDed with h repeated
-    once per word, and the XOR of every n-bit window is taken with
-    doubling shift-XORs: after t of them, bit j holds the XOR of bits
-    j .. j + 2^t - 1. One window per binary digit of n, laid end to end,
-    covers n bits. The field mask keeps bit 0 of each word, which then
-    holds that word's check bit. Every step is a whole-int operation, so
-    the time is linear in the payload size.
+    Bit p of a word lands on the word's bit 0 when the payload int is
+    shifted right by p. So for each parity-check row h, the XOR of the
+    shifts by h's set positions holds, at bit 0 of each word, the parity
+    of w & h: the word's check bit for h. The rows' check bits are ORed
+    together and the field mask keeps bit 0 of each word. Every step is a
+    whole-int operation, so the time is linear in the payload size.
     """
     _check_header(m, blob)
     n, count = blob.n, blob.count
     acc = _payload_bits(blob.payload, n, count)
-    # bit 0 of every word; 8 words fill n whole bytes, the repeated unit
-    unit = sum(1 << j * n for j in range(8)).to_bytes(n, "big")
-    ones = int.from_bytes(unit * -(-count // 8), "big")
     bad = 0
     for h in m.code.parity_checks:
-        x = acc & ones * h
-        odd = offset = 0
-        for t in range(n.bit_length() - 1):  # x: the XOR of 2^t bits
-            if n >> t & 1:
-                odd ^= x >> offset
-                offset += 1 << t
-            x ^= x >> (1 << t)
-        bad |= odd ^ x >> offset  # the top digit of n
-    bad &= ones
+        check = 0
+        for p in range(n):
+            if h >> p & 1:
+                check ^= acc >> p
+        bad |= check
+    # bit 0 of every word; 8 words fill n whole bytes, the repeated unit
+    unit = sum(1 << j * n for j in range(8)).to_bytes(n, "big")
+    bad &= int.from_bytes(unit * -(-count // 8), "big")
     if not bad:
-        return ()
+        return acc, ()
     # word i's flag is character i*n + n-1 of the bits, MSB first
     flags = format(bad, f"0{count * n}b")[n - 1 :: n].encode().translate(_FLAGS)
-    return tuple(compress(range(count), flags))
+    return acc, tuple(compress(range(count), flags))
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:
     """Flag every slice of the payload that is not a codeword."""
-    return VerifyReport(_flagged(m, blob), blob.count)
+    return VerifyReport(_flagged(m, blob)[1], blob.count)
 
 
 def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport:
@@ -295,19 +270,19 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
 
     No partial output: one corrupted slice suppresses all values.
     """
-    bad = _flagged(m, blob)
+    acc, bad = _flagged(m, blob)
     if bad:
         return VerifyReport(bad, blob.count)
     n, count = blob.n, blob.count
     if not count:
         return []
-    # A clean word's value follows from its b information bits: read each
-    # off its plane, every n-th character of the payload's bit string, into
-    # one information byte per word.
-    bits = format(_payload_bits(blob.payload, n, count), f"0{count * n}b").encode()
+    # A clean word's value follows from its b information bits: read the
+    # i-th off its plane, every n-th character of the payload's bit string,
+    # into bit i of one information byte per word (``encoding._information``).
+    bits = format(acc, f"0{count * n}b").encode()
     info = 0
-    for j, plane in m._planes:
-        info |= int.from_bytes(bits[j::n].translate(plane), "big")
+    for i, p in enumerate(sorted(m.code._pivots)):
+        info |= int.from_bytes(bits[n - 1 - p :: n].translate(_FLAGS), "big") << i
     return memoryview(info.to_bytes(count, "big").translate(m._values)).cast("b").tolist()
 
 

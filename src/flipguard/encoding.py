@@ -97,16 +97,6 @@ class EncodingMap:
         return tuple(bytes(b"01"[w >> n - j & 1] for w in words) for j in range(1, n + 1))
 
     @cached_property
-    def _planes(self) -> tuple[tuple[int, bytes], ...]:
-        """(j, table) per bit i of the information byte (see
-        ``_information``): j is that bit's index in a word's b"0"/b"1"
-        string, and the table translates b"0"/b"1" to the bytes 0 and
-        1 << i."""
-        n = self.code.n
-        return tuple((n - 1 - p, bytes.maketrans(b"01", bytes((0, 1 << i))))
-                     for i, p in enumerate(sorted(self.code._pivots)))
-
-    @cached_property
     def _values(self) -> bytes:
         """Translate table from a codeword's information byte (see
         ``_information``) to its value's byte."""

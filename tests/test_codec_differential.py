@@ -13,8 +13,8 @@ from operator import xor
 
 import pytest
 
+import flipguard.blob as blob_module
 from flipguard.blob import (
-    _CHUNK,
     CorruptBlobError,
     EncodedBlob,
     VerifyReport,
@@ -23,7 +23,6 @@ from flipguard.blob import (
     pack_words,
     unpack_words,
     verify_blob,
-    _cutter,
 )
 from flipguard.codes import CODE_IDS, BinaryCode, BitWord
 from flipguard.encoding import EncodingMap, canonical_map, decode_value, encode_value
@@ -31,8 +30,8 @@ from flipguard.encoding import EncodingMap, canonical_map, decode_value, encode_
 from test_blob import reference_pack
 
 SEEDS = range(4)
-K = _CHUNK
-# Payloads are cut in chunks of K words: counts on each side of a chunk edge.
+K = 1024
+# Counts on each side of a 1024-word edge, and around the empty payload.
 BOUNDARY_COUNTS = (0, 1, K - 1, K, K + 1, 2 * K + 1)
 
 
@@ -175,23 +174,6 @@ def test_unpack_random_payloads_match_reference(n):
             unpack_words(bytes(payload), n, K + 1)
 
 
-def test_cut_formats_depend_on_the_width_alone():
-    # One cached format per word width; one per layer size would hold
-    # memory in proportion to the largest layer ever read. Only
-    # unpack_words cuts words.
-    _cutter.cache_clear()
-    rng = random.Random("cutters")
-    widths = set()
-    for i, count in enumerate(rng.sample(range(1, 5 * K), 40)):
-        m = canonical_map(CODE_IDS[i % len(CODE_IDS)])
-        values = random_values(rng, m, count)
-        blob = encode_tensor(m, values, "l")
-        assert unpack_words(blob.payload, m.code.n, count) == reference_words(m, values)
-        widths.add(m.code.n)
-    assert _cutter.cache_info().currsize <= len(widths)
-    assert all(_cutter(n).size == n * K for n in widths)
-
-
 @pytest.mark.parametrize("code_id", CODE_IDS)
 def test_out_of_range_value_raises_like_encode_value(code_id):
     m = canonical_map(code_id)
@@ -205,6 +187,23 @@ def test_out_of_range_value_raises_like_encode_value(code_id):
         with pytest.raises(ValueError) as got:
             encode_tensor(m, values, "l")
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("dirty", [False, True])
+def test_verify_and_decode_read_the_payload_once(monkeypatch, dirty):
+    m = canonical_map("C13_4")
+    blob = encode_tensor(m, random_values(random.Random(3), m, 100), "l")
+    if dirty:
+        payload = bytearray(blob.payload)
+        payload[5] ^= 1
+        blob = with_payload(blob, payload)
+    calls = []
+    read = blob_module._payload_bits
+    monkeypatch.setattr(blob_module, "_payload_bits", lambda *a: calls.append(a) or read(*a))
+    for scan in (verify_blob, decode_tensor):
+        calls.clear()
+        scan(m, blob)
+        assert len(calls) == 1
 
 
 def test_million_value_round_trip():
@@ -293,6 +292,23 @@ def test_bytes_values_are_unsigned_ints(code_id):
     for data in (bytes([0, 255]), bytearray([half])):
         with pytest.raises(ValueError, match=f"value {data[-1]} out of range"):
             encode_tensor(m, data, "l")
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_one_shot_iterables_encode_and_raise_like_lists(code_id):
+    m = canonical_map(code_id)
+    half = 1 << (m.b - 1)
+    good = [0, -half, half - 1, 1]
+    assert encode_tensor(m, iter(good), "l") == encode_tensor(m, good, "l")
+    for bad in (half, -half - 1, 1 << 40, 1.5, "3"):
+        values = [0, 1, bad, -1]
+        with pytest.raises((TypeError, ValueError)) as expected:
+            encode_tensor(m, values, "l")
+        for once in (iter(values), (v for v in values)):
+            with pytest.raises(expected.type) as got:
+                encode_tensor(m, once, "l")
+            assert type(got.value) is expected.type
+            assert str(got.value) == str(expected.value)
 
 
 def test_maps_wider_than_a_byte_are_refused():
