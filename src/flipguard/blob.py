@@ -20,16 +20,17 @@ anything else, a parseable header with an unknown code id or a shape not
 the code's included, is `CorruptBlobError`. A custom map's blob verifies
 only in memory.
 
-Detection is the syndrome test: a word w is a codeword iff H·w = 0 over
-GF(2), H being the code's parity-check rows. ``_flagged`` runs it over the
-whole payload at once: per row h, the payload int shifted right by each
-set position of h, XORed together, leaves each word's check bit at the
-word's bit 0 (bit-slicing). It is the only code that decides whether a
-slice is a codeword. Encoding and clean decoding move each value as one
-byte through per-byte tables, which ``bytes.translate`` applies to whole
-lanes of the payload's bit string. Decoding is detection-only. A slice
-that is not a codeword is reported, never silently corrected, and no
-values are returned for a dirty blob.
+Encode, verify and decode run on one byte-block engine, ``_apply``. 8
+words of n bits fill exactly n payload bytes, a block. A GF(2)-linear map
+from one block's bytes to another's has one 256-entry table per (input
+byte, output byte) pair, and one ``bytes.translate`` applies it to that
+pair of every block at once. Encode maps 8 value bytes to n payload bytes.
+Verify maps n payload bytes to 8 syndrome bytes, H·w over the code's
+parity-check rows H, and a word w is a codeword iff its syndrome is zero:
+``_flagged`` is the only code that decides that. Clean decode maps them to
+8 information bytes, which one more table turns into the values. Decoding
+is detection-only. A slice that is not a codeword is reported, never
+silently corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .codes import CODE_IDS, code_shape
-from .encoding import EncodingMap, encode_value
+from .encoding import EncodingMap, _Rounds, encode_value
 
 __all__ = [
     "MAGIC",
@@ -64,15 +65,9 @@ class CorruptBlobError(Exception):
     """The bytes are not a valid blob of a registered code."""
 
 
-def _to_payload(bits: str) -> bytes:
-    """A '0'/'1' string as bytes, MSB-first, zero-padding the last byte."""
-    pad = -len(bits) % 8
-    return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
-
-
-def _payload_bits(payload: bytes, n: int, count: int) -> int:
-    """The payload's count n-bit words as one int, the padding shifted out
-    (the last word in the low bits); checks length and zero padding."""
+def _payload_bits(payload: bytes, n: int, count: int) -> bytes:
+    """The payload zero-extended to whole blocks of 8 words, n bytes each;
+    checks length and zero padding."""
     if n < 1:
         raise ValueError(f"word width must be at least 1, got {n}")
     if count < 0:
@@ -83,10 +78,27 @@ def _payload_bits(payload: bytes, n: int, count: int) -> int:
     if len(payload) > need:
         raise CorruptBlobError(f"payload has {len(payload) - need} trailing bytes")
     pad = 8 * need - count * n
-    acc = int.from_bytes(payload, "big")
-    if acc & ((1 << pad) - 1):
+    if pad and payload[-1] & ((1 << pad) - 1):
         raise CorruptBlobError("nonzero padding bits")
-    return acc >> pad
+    return payload + bytes(-(-count // 8) * n - need)
+
+
+def _apply(rounds: _Rounds, lanes: list[bytes], step: int) -> int:
+    """The engine: lanes[i] holds input byte i of every block, and each
+    block maps through the rounds (``encoding._block_rounds``) to step
+    output bytes. The output blocks come back as one int.
+
+    A round's (out, at, table) triple fills byte out of every output block
+    with lanes[at], translated, by one slice assignment. The rounds'
+    outputs are XORed as ints.
+    """
+    acc = 0
+    for pairs in rounds:
+        buf = bytearray(len(lanes[0]) * step)
+        for out, at, table in pairs:
+            buf[out::step] = lanes[at].translate(table)
+        acc ^= int.from_bytes(buf, "big")
+    return acc
 
 
 def pack_words(words: Iterable[int], n: int) -> bytes:
@@ -99,16 +111,16 @@ def pack_words(words: Iterable[int], n: int) -> bytes:
     if as_str and (min(as_str) < 0 or max(as_str) >> n):
         bad = next(w for w in words if not 0 <= w < 1 << n)
         raise ValueError(f"word {bad} does not fit in {n} bits")
-    return _to_payload("".join([as_str[w] for w in words]))
+    bits = "".join([as_str[w] for w in words])
+    pad = -len(bits) % 8
+    return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
 def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
     """Inverse of pack_words; checks length and zero padding."""
-    acc = _payload_bits(payload, n, count)
-    if not count:
-        return []
-    bits = format(acc, f"0{count * n}b").encode()
-    return [int(w, 2) for (w,) in struct.iter_unpack(f"{n}s", bits)]
+    blocks = _payload_bits(payload, n, count)
+    bits = format(int.from_bytes(blocks, "big"), f"0{8 * len(blocks)}b").encode()
+    return [int(w, 2) for (w,) in struct.iter_unpack(f"{n}s", bits[: count * n])]
 
 
 @dataclass(frozen=True)
@@ -196,9 +208,8 @@ _IN_RANGE = {b: bytes(v & 0xFF for v in range(-(1 << b - 1), 1 << b - 1)) for b 
 def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> EncodedBlob:
     """Encode quantized values into a blob under the given map.
 
-    Each value becomes one byte, and each coordinate j of the codewords one
-    lane of the bit string: every n-th character from j, which translating
-    the value bytes through the map's table for j fills in one C-level pass.
+    Each value becomes one byte, and the engine (``_apply``) maps every
+    block of 8 value bytes to its n payload bytes.
     """
     if not isinstance(values, (list, tuple)):  # read once; array() takes bytes raw
         values = list(values)
@@ -210,54 +221,30 @@ def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> 
         for v in values:
             encode_value(m, v)  # raises for the first value it refuses
         raise TypeError("values must be ints")
-    n = m.code.n
-    bits = bytearray(len(vb) * n)
-    for j, lane in enumerate(m._lanes):
-        bits[j::n] = vb.translate(lane)
-    return EncodedBlob(m.code_id, m.b, n, len(vb), layer_id, _to_payload(bits))
+    n, count = m.code.n, len(vb)
+    vb += bytes(-count % 8)
+    payload = _apply(m._encoder, [vb[s::8] for s in range(8)], n).to_bytes(len(vb) // 8 * n, "big")
+    return EncodedBlob(m.code_id, m.b, n, count, layer_id, payload[: (count * n + 7) // 8])
 
 
-def _check_header(m: EncodingMap, blob: EncodedBlob) -> None:
+def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int, ...]]:
+    """The engine's lanes of the checked payload (``_payload_bits``) and the
+    ascending indices of the words w with H·w != 0: byte i of ``syndromes``
+    is word i's syndrome (ORed over sets of 8 rows), truthy when nonzero."""
     if (blob.code_id, blob.bits, blob.n) != (m.code_id, m.b, m.code.n):
         raise ValueError(
             f"blob header ({blob.code_id}, b={blob.bits}, n={blob.n}) does not "
             f"match map ({m.code_id}, b={m.b}, n={m.code.n})"
         )
-
-
-# b"0"/b"1" to the bytes 0/1: flags for itertools.compress, and bits for decode
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[int, tuple[int, ...]]:
-    """The checked payload int (see ``_payload_bits``) and the ascending
-    indices of its words w with H·w != 0.
-
-    Bit p of a word lands on the word's bit 0 when the payload int is
-    shifted right by p. So for each parity-check row h, the XOR of the
-    shifts by h's set positions holds, at bit 0 of each word, the parity
-    of w & h: the word's check bit for h. The rows' check bits are ORed
-    together and the field mask keeps bit 0 of each word. Every step is a
-    whole-int operation, so the time is linear in the payload size.
-    """
-    _check_header(m, blob)
     n, count = blob.n, blob.count
-    acc = _payload_bits(blob.payload, n, count)
-    bad = 0
-    for h in m.code.parity_checks:
-        check = 0
-        for p in range(n):
-            if h >> p & 1:
-                check ^= acc >> p
-        bad |= check
-    # bit 0 of every word; 8 words fill n whole bytes, the repeated unit
-    unit = sum(1 << j * n for j in range(8)).to_bytes(n, "big")
-    bad &= int.from_bytes(unit * -(-count // 8), "big")
-    if not bad:
-        return acc, ()
-    # word i's flag is character i*n + n-1 of the bits, MSB first
-    flags = format(bad, f"0{count * n}b")[n - 1 :: n].encode().translate(_FLAGS)
-    return acc, tuple(compress(range(count), flags))
+    blocks = _payload_bits(blob.payload, n, count)
+    lanes = [blocks[j::n] for j in range(n)]
+    syndromes = 0
+    for rounds in m._checks:
+        syndromes |= _apply(rounds, lanes, 8)
+    if not syndromes:
+        return lanes, ()
+    return lanes, tuple(compress(range(count), syndromes.to_bytes(8 * len(lanes[0]), "big")))
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:
@@ -270,20 +257,11 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
 
     No partial output: one corrupted slice suppresses all values.
     """
-    acc, bad = _flagged(m, blob)
+    lanes, bad = _flagged(m, blob)
     if bad:
         return VerifyReport(bad, blob.count)
-    n, count = blob.n, blob.count
-    if not count:
-        return []
-    # A clean word's value follows from its b information bits: read the
-    # i-th off its plane, every n-th character of the payload's bit string,
-    # into bit i of one information byte per word (``encoding._information``).
-    bits = format(acc, f"0{count * n}b").encode()
-    info = 0
-    for i, p in enumerate(sorted(m.code._pivots)):
-        info |= int.from_bytes(bits[n - 1 - p :: n].translate(_FLAGS), "big") << i
-    return memoryview(info.to_bytes(count, "big").translate(m._values)).cast("b").tolist()
+    info = _apply(m._info, lanes, 8).to_bytes(8 * len(lanes[0]), "big")
+    return memoryview(info[: blob.count].translate(m._values)).cast("b").tolist()
 
 
 @dataclass(frozen=True)

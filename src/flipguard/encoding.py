@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
+from typing import Sequence
 
 from .codes import (BinaryCode, BitWord, _independent, _pivots, build_code, code_shape,
                     hamming_distance, span_table)
@@ -88,13 +90,23 @@ class EncodingMap:
         return tuple(BitWord(w, n) for w in span_table([w.bits for w in self.basis_images]))
 
     @cached_property
-    def _lanes(self) -> tuple[bytes, ...]:
-        """Translate tables, one per coordinate j = 1..n, from a value's
-        byte (its low 8 two's-complement bits) to b"0" or b"1": the bit at
-        j of the value's codeword."""
+    def _encoder(self) -> _Rounds:
+        """Engine rounds from a block's 8 value bytes to its n payload bytes."""
         n, mask = self.code.n, (1 << self.b) - 1
-        words = [self.table[k & mask].bits for k in range(256)]
-        return tuple(bytes(b"01"[w >> n - j & 1] for w in words) for j in range(1, n + 1))
+        return _block_rounds([[self.table[0x80 >> u & mask].bits << n * (7 - s) for u in range(8)]
+                              for s in range(8)], n)
+
+    @cached_property
+    def _checks(self) -> tuple[_Rounds, ...]:
+        """Engine rounds to the words' syndrome bytes, one set per 8
+        parity-check rows: bit i of set g's byte checks row 8g + i."""
+        rows = self.code.parity_checks
+        return tuple(_read_rounds(self.code.n, rows[g : g + 8]) for g in range(0, len(rows), 8))
+
+    @cached_property
+    def _info(self) -> _Rounds:
+        """Engine rounds to the words' information bytes (``_information``)."""
+        return _read_rounds(self.code.n, [1 << p for p in sorted(self.code._pivots)])
 
     @cached_property
     def _values(self) -> bytes:
@@ -110,6 +122,36 @@ class EncodingMap:
         """``_flip_costs`` under this map: entry k is table[k]'s weight, at
         most 64 (``MAX_WORD_LEN``), so it fits a byte."""
         return bytes(w.bits.bit_count() for w in self.table).ljust(256, b"\0")
+
+
+_Rounds = tuple[tuple[tuple[int, int, bytes], ...], ...]
+
+
+def _block_rounds(units: list[list[int]], size: int) -> _Rounds:
+    """The translate tables of a GF(2)-linear map from one block's bytes to
+    another's, size bytes, 8 words of n bits filling n bytes MSB-first.
+
+    ``units[i][u]`` is the output block, as an int, of input byte i holding
+    just the bit 0x80 >> u. By linearity the table from input byte i to
+    output byte o is the span of those 8 images' bytes o; all-zero tables
+    are left out. Round k holds each output byte's k-th (output byte, input
+    byte, table) triple.
+    """
+    outputs: dict[int, list[tuple[int, int, bytes]]] = {}
+    for i, images in enumerate(units):
+        for o, column in enumerate(zip(*(w.to_bytes(size, "big") for w in images))):
+            if any(column):
+                outputs.setdefault(o, []).append((o, i, bytes(span_table(column))))
+    return tuple(tuple(filter(None, r)) for r in zip_longest(*outputs.values()))
+
+
+def _read_rounds(n: int, rows: Sequence[int]) -> _Rounds:
+    """Rounds from a block's n payload bytes to one byte per word w, whose
+    bit i is the parity of w & rows[i]. Block bit q (MSB first) is word
+    q // n's coordinate q % n, its bit n - 1 - q % n."""
+    columns = [sum((h >> p & 1) << i for i, h in enumerate(rows)) for p in reversed(range(n))]
+    return _block_rounds([[columns[q % n] << 8 * (7 - q // n) for q in range(8 * j, 8 * j + 8)]
+                          for j in range(n)], 8)
 
 
 def _information(code: BinaryCode, bits: int) -> int:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -155,9 +156,10 @@ def parse_trace(text: str) -> AttackTrace:
     raw_changes = _want(doc, "changes", list, "top level")
     try:
         # json.loads yields exact types, so AttackTrace makes the same type
-        # tests as the _want checks below
-        return AttackTrace(meta, [WeightChange(e["layer"], e["index"], e["old"], e["new"])
-                                  for e in raw_changes])
+        # tests as the _want checks below; tuple.__new__ skips the
+        # NamedTuple's Python-level __new__
+        fields = itemgetter("layer", "index", "old", "new")
+        return AttackTrace(meta, [tuple.__new__(WeightChange, fields(e)) for e in raw_changes])
     except (TypeError, KeyError, ValueError) as e:
         error = str(e)
     # Name the first shape fault, which wins over any value fault
