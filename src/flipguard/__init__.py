@@ -28,12 +28,10 @@ from .codes import (
     shorten_code,
 )
 from .encoding import (
-    DetectionReport,
     DistanceMatrix,
     EncodingMap,
     canonical_map,
     codebook_lines,
-    decode_value,
     distance_matrix,
     encode_value,
     greedy_basis,

@@ -27,9 +27,10 @@ byte, output byte) pair, and one ``bytes.translate`` applies it to that
 pair of every block at once. Encode maps 8 value bytes to n payload bytes.
 Verify maps n payload bytes to 8 syndrome bytes, H·w over the code's
 parity-check rows H, and a word w is a codeword iff its syndrome is zero:
-``_flagged`` is the only code that decides that. Clean decode maps them to
-8 information bytes, which one more table turns into the values. Decoding
-is detection-only. A slice that is not a codeword is reported, never
+``_flagged`` is the only code that decides that. Clean decode maps them
+straight to the 8 words' signed value bytes: on codewords the value is a
+GF(2)-linear function of the word, like the syndrome. Decoding is
+detection-only. A slice that is not a codeword is reported, never
 silently corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
@@ -133,6 +134,9 @@ class EncodedBlob:
     payload: bytes
 
     def __post_init__(self) -> None:
+        if type(self.payload) is not bytes:  # a mutable buffer could change once verified;
+            # memoryview refuses an int, which bytes() would read as a length
+            object.__setattr__(self, "payload", bytes(memoryview(self.payload)))
         for name, value, top in (("bits", self.bits, 0xFF), ("n", self.n, 0xFF),
                                  ("count", self.count, (1 << 64) - 1)):
             if not 0 <= value <= top:
@@ -154,7 +158,7 @@ class EncodedBlob:
         return head + self.payload
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "EncodedBlob":
+    def from_bytes(cls, data: bytes | bytearray | memoryview) -> "EncodedBlob":
         """A blob of a registered code; any other bytes raise CorruptBlobError."""
         def take(k: int, what: str) -> bytes:
             nonlocal pos
@@ -166,7 +170,7 @@ class EncodedBlob:
 
         def text(k: int, what: str) -> str:
             try:
-                return take(k, what).decode()
+                return str(take(k, what), "utf-8")
             except UnicodeDecodeError:
                 raise CorruptBlobError(f"{what} is not valid UTF-8") from None
 
@@ -260,8 +264,8 @@ def decode_tensor(m: EncodingMap, blob: EncodedBlob) -> list[int] | VerifyReport
     lanes, bad = _flagged(m, blob)
     if bad:
         return VerifyReport(bad, blob.count)
-    info = _apply(m._info, lanes, 8).to_bytes(8 * len(lanes[0]), "big")
-    return memoryview(info[: blob.count].translate(m._values)).cast("b").tolist()
+    values = _apply(m._decoder, lanes, 8).to_bytes(8 * len(lanes[0]), "big")
+    return memoryview(values)[: blob.count].cast("b").tolist()
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def _matrix_lines(b: int, rows, fmt: str) -> list[str]:
     return lines
 
 
-def _read_values(path: str) -> list[int]:
+def _read_ints(path: str) -> list[int]:
     try:
         tokens = Path(path).read_text(encoding="utf-8").split()
     except UnicodeDecodeError as e:
@@ -140,7 +140,7 @@ def cmd_distances(args) -> int:
 
 def cmd_encode(args) -> int:
     m = canonical_map(args.code)
-    values = _read_values(args.infile)
+    values = _read_ints(args.infile)
     blob = encode_tensor(m, values, args.layer)
     Path(args.out).write_bytes(blob.to_bytes())
     _say(f"encoded {len(values)} values with {args.code} into {args.out}")
@@ -186,11 +186,11 @@ def cmd_analyze_trace(args) -> int:
         out["protected"] = _stats_dict(traces, m)
         if out["unprotected"]["avg"]:
             out["amplification"] = out["protected"]["avg"] / out["unprotected"]["avg"]
-    print(json.dumps(out, sort_keys=True, indent=2))
-    if args.pair_freq:
+    if args.pair_freq:  # before the result, so a failed write prints none
         lines = _matrix_lines(b, pair_frequency(traces), "csv")
         Path(args.pair_freq).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _say(f"pair frequencies written to {args.pair_freq}")
+    print(json.dumps(out, sort_keys=True, indent=2))
     _say(f"analyzed {len(traces)} trace(s), {out['changes']} changes")
     return 0
 

@@ -14,17 +14,14 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Sequence
 
-from .codes import (BinaryCode, BitWord, _independent, _pivots, build_code, code_shape,
-                    hamming_distance, span_table)
-from .quantize import _WIDTHS, signed_value, value_range
+from .codes import BinaryCode, BitWord, _independent, _pivots, build_code, code_shape, span_table
+from .quantize import _WIDTHS, value_range
 
 __all__ = [
-    "DetectionReport",
     "DistanceMatrix",
     "EncodingMap",
     "canonical_map",
     "codebook_lines",
-    "decode_value",
     "distance_matrix",
     "encode_value",
     "greedy_basis",
@@ -40,14 +37,6 @@ _CANONICAL_IMAGES = {
     "C8_4": "FF 65 17 4B",
     "C9_4": "1EF 0BA 07C 01F",
 }
-
-
-@dataclass(frozen=True)
-class DetectionReport:
-    """A non-codeword observation: what was read and how far off it is."""
-
-    word: BitWord
-    nearest_distance: int
 
 
 @dataclass(frozen=True)
@@ -104,18 +93,27 @@ class EncodingMap:
         return tuple(_read_rounds(self.code.n, rows[g : g + 8]) for g in range(0, len(rows), 8))
 
     @cached_property
-    def _info(self) -> _Rounds:
-        """Engine rounds to the words' information bytes (``_information``)."""
-        return _read_rounds(self.code.n, [1 << p for p in sorted(self.code._pivots)])
+    def _decoder(self) -> _Rounds:
+        """Engine rounds from a block's n payload bytes to its 8 words'
+        signed value bytes.
 
-    @cached_property
-    def _values(self) -> bytes:
-        """Translate table from a codeword's information byte (see
-        ``_information``) to its value's byte."""
-        out = bytearray(256)
+        A codeword is fixed by its bits at the b pivot positions of the
+        code's echelon basis, so by linearity its value is the XOR of the
+        values of the unit codewords that those bits pick: the one codeword
+        per pivot p with bit p set and every other pivot bit clear. Value
+        bit i is then the parity of the word over the pivots whose unit
+        codeword's value has bit i; bits b and up repeat the sign bit b - 1,
+        so the byte comes out sign-extended.
+        """
+        pivot_bits = sum(1 << p for p in self.code._pivots)
+        units = {}  # pivot position -> its unit codeword's value pattern
         for k, w in enumerate(self.table):
-            out[_information(self.code, w.bits)] = signed_value(k, self.b) & 0xFF
-        return bytes(out)
+            on = w.bits & pivot_bits
+            if on.bit_count() == 1:
+                units[on.bit_length() - 1] = k
+        sign = self.b - 1
+        rows = [sum(1 << p for p, k in units.items() if k >> min(i, sign) & 1) for i in range(8)]
+        return _read_rounds(self.code.n, rows)
 
     @cached_property
     def _costs(self) -> bytes:
@@ -152,13 +150,6 @@ def _read_rounds(n: int, rows: Sequence[int]) -> _Rounds:
     columns = [sum((h >> p & 1) << i for i, h in enumerate(rows)) for p in reversed(range(n))]
     return _block_rounds([[columns[q % n] << 8 * (7 - q // n) for q in range(8 * j, 8 * j + 8)]
                           for j in range(n)], 8)
-
-
-def _information(code: BinaryCode, bits: int) -> int:
-    """A word's information byte: bit i is the word's bit at the i-th lowest
-    pivot position of the code's echelon basis. The echelon rows are
-    triangular on those b positions, so no two codewords share one."""
-    return sum((bits >> p & 1) << i for i, p in enumerate(sorted(code._pivots)))
 
 
 @dataclass(frozen=True)
@@ -202,20 +193,6 @@ def encode_value(m: EncodingMap, v: int) -> BitWord:
     if not -half <= v < half:
         raise ValueError(f"value {v} out of range [{-half}, {half - 1}]")
     return m.table[v & ((1 << m.b) - 1)]
-
-
-def decode_value(m: EncodingMap, word: BitWord) -> int | DetectionReport:
-    """Signed value for a codeword, or a detection report for anything else.
-
-    Never corrects: a word at distance 1 from a codeword is still reported.
-    """
-    if word.n != m.code.n:
-        raise ValueError(f"expected {m.code.n}-bit words, got {word.n}")
-    v = (m._values[_information(m.code, word.bits)] ^ 0x80) - 0x80  # signed byte
-    if m.table[v & ((1 << m.b) - 1)] != word:
-        nearest = min(hamming_distance(word, w) for w in m.table)
-        return DetectionReport(word, nearest)
-    return v
 
 
 _PLAIN_COSTS = {b: bytes(k.bit_count() for k in range(1 << b)).ljust(256, b"\0") for b in _WIDTHS}

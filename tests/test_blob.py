@@ -152,6 +152,18 @@ class TestBlobFormat:
         blob = self.blob()
         assert EncodedBlob.from_bytes(blob.to_bytes()) == blob
 
+    def test_payload_is_immutable_bytes_from_any_buffer(self):
+        blob = self.blob(layer="schicht/gewichte-é")
+        for data in (bytearray(blob.to_bytes()), memoryview(blob.to_bytes())):
+            read = EncodedBlob.from_bytes(data)
+            assert type(read.payload) is bytes
+            assert read == blob and hash(read) == hash(blob)
+        payload = bytearray(blob.payload)
+        built = dataclasses.replace(blob, payload=payload)
+        payload[0] ^= 0x80  # a change after construction must not reach the blob
+        assert type(built.payload) is bytes and built == blob
+        assert dataclasses.replace(blob, payload=blob.payload).payload is blob.payload
+
     def test_unicode_layer_id(self):
         blob = self.blob(layer="schicht/gewichte-é")
         assert EncodedBlob.from_bytes(blob.to_bytes()).layer_id == blob.layer_id

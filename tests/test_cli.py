@@ -248,6 +248,12 @@ class TestAnalyzeTrace:
         counts = parse_csv_matrix(freq.read_text())
         assert sum(map(sum, counts)) == 100
 
+    def test_unwritable_pair_freq_prints_no_result(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze-trace", "--in", FIXTURE,
+                             "--pair-freq", str(tmp_path / "missing" / "pairs.csv"))
+        assert code == 1 and "error:" in err
+        assert out == ""
+
     def test_mixed_widths_rejected(self, capsys, tmp_path):
         run(capsys, "simulate", "--bits", "4", "--changes", "5",
             "--out", str(tmp_path / "a.json"))

@@ -3,13 +3,12 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from flipguard.blob import decode_tensor, encode_tensor
 from flipguard.codes import BinaryCode, BitWord, build_code, construct_hamming
 from flipguard.encoding import (
-    DetectionReport,
     EncodingMap,
     canonical_map,
     codebook_lines,
-    decode_value,
     distance_matrix,
     encode_value,
     greedy_basis,
@@ -115,8 +114,8 @@ class TestCanonicalMaps:
     @pytest.mark.parametrize("code_id", ALL_IDS)
     def test_round_trip_over_the_full_range(self, code_id):
         m = canonical_map(code_id)
-        for v in full_range(m.b):
-            assert decode_value(m, encode_value(m, v)) == v
+        values = list(full_range(m.b))
+        assert decode_tensor(m, encode_tensor(m, values)) == values
 
     @pytest.mark.parametrize("code_id", ALL_IDS)
     def test_bijection_onto_the_attached_code(self, code_id):
@@ -175,27 +174,7 @@ class TestEncodeDecode:
         for code_id in ALL_IDS:
             m = canonical_map(code_id)
             assert encode_value(m, 0).bits == 0
-            assert decode_value(m, BitWord(0, m.code.n)) == 0
-
-    def test_corrupted_word_is_reported_not_corrected(self):
-        m = canonical_map("C7_3")
-        word = BitWord(encode_value(m, 3).bits ^ 0b0100000, 7)  # coordinate 2
-        report = decode_value(m, word)
-        assert isinstance(report, DetectionReport)
-        assert report.word == word
-        assert report.nearest_distance == 1
-
-    def test_report_distance_is_the_true_minimum(self):
-        m = canonical_map("C8_4")
-        word = BitWord(encode_value(m, -1).bits ^ 0b10001000, 8)  # coordinates 1, 5
-        report = decode_value(m, word)
-        brute = min((word.bits ^ w.bits).bit_count() for w in m.table)
-        assert report.nearest_distance == brute == 2
-
-    def test_wrong_length_word(self):
-        m = canonical_map("C7_3")
-        with pytest.raises(ValueError):
-            decode_value(m, BitWord(0, 8))
+            assert decode_tensor(m, encode_tensor(m, [0])) == [0]
 
     @given(st.integers(-8, 7), st.integers(-8, 7))
     def test_linearity_exhaustive_4bit(self, u, v):
