@@ -14,11 +14,12 @@ The payload is the codewords packed back to back, MSB-first: coordinate 1
 of the first codeword sits in the most significant bit of payload byte 0,
 and unused trailing bits of the last byte are zero.
 
-The constructor rejects any field the wire format cannot hold, so
-`to_bytes` cannot fail. `from_bytes` reads only blobs of registered codes:
-anything else, a parseable header with an unknown code id or a shape not
-the code's included, is `CorruptBlobError`. A custom map's blob verifies
-only in memory.
+The constructor rejects any field of another type than its annotation
+(``TypeError``) or that the wire format cannot hold, so `to_bytes` cannot
+fail. `from_bytes` reads only blobs of registered codes: anything else, a
+parseable header with an unknown code id or a shape not the code's
+included, is `CorruptBlobError`. A custom map's blob verifies only in
+memory.
 
 Encode, verify and decode run on one byte-block engine, ``_apply``. 8
 words of n bits fill exactly n payload bytes, a block. A GF(2)-linear map
@@ -27,11 +28,15 @@ byte, output byte) pair, and one ``bytes.translate`` applies it to that
 pair of every block at once. Encode maps 8 value bytes to n payload bytes.
 Verify maps n payload bytes to 8 syndrome bytes, H·w over the code's
 parity-check rows H, and a word w is a codeword iff its syndrome is zero:
-``_flagged`` is the only code that decides that. Clean decode maps them
-straight to the 8 words' signed value bytes: on codewords the value is a
-GF(2)-linear function of the word, like the syndrome. Decoding is
-detection-only. A slice that is not a codeword is reported, never
-silently corrected, and no values are returned for a dirty blob.
+``_flagged`` is the only code that decides that. It picks the flagged
+indices out of one shared tuple of word indices, ``_INDEX`` (about 40 B
+kept per word of the largest dirty blob seen), so the readout makes no int
+per word. Verify and decode each compute the syndromes afresh from the
+payload bytes. Clean decode maps the n payload bytes straight to the 8
+words' signed value bytes: on codewords the value is a GF(2)-linear
+function of the word, like the syndrome. Decoding is detection-only. A
+slice that is not a codeword is reported, never silently corrected, and no
+values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -134,6 +139,10 @@ class EncodedBlob:
     payload: bytes
 
     def __post_init__(self) -> None:
+        for name in ("code_id", "bits", "n", "count", "layer_id"):
+            value, kind = getattr(self, name), str if name.endswith("_id") else int
+            if type(value) is not kind:  # a bool or a float would pass the range checks
+                raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
         if type(self.payload) is not bytes:  # a mutable buffer could change once verified;
             # memoryview refuses an int, which bytes() would read as a length
             object.__setattr__(self, "payload", bytes(memoryview(self.payload)))
@@ -231,6 +240,24 @@ def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> 
     return EncodedBlob(m.code_id, m.b, n, count, layer_id, payload[: (count * n + 7) // 8])
 
 
+# Word indices 0..k-1, made once and shared: ``range`` makes a fresh int for
+# every index above 256, flagged or not. Built on the first dirty blob, not
+# at import, and rebuilt only for a dirty blob with more words. It keeps
+# about 40 B per word of the largest dirty blob seen (an 8-byte slot and a
+# 28-byte int, allocated as 32), what a fully corrupt report of it holds.
+# A longer tuple reads the same: the words past count are zero padding.
+_INDEX: tuple[int, ...] = ()
+
+
+def _indices(k: int) -> tuple[int, ...]:
+    """``_INDEX``, at least k long."""
+    global _INDEX
+    index = _INDEX
+    if len(index) < k:
+        index = _INDEX = tuple(range(k))
+    return index
+
+
 def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int, ...]]:
     """The engine's lanes of the checked payload (``_payload_bits``) and the
     ascending indices of the words w with H·w != 0: byte i of ``syndromes``
@@ -248,7 +275,7 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
         syndromes |= _apply(rounds, lanes, 8)
     if not syndromes:
         return lanes, ()
-    return lanes, tuple(compress(range(count), syndromes.to_bytes(8 * len(lanes[0]), "big")))
+    return lanes, tuple(compress(_indices(count), syndromes.to_bytes(8 * len(lanes[0]), "big")))
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:

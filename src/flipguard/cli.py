@@ -11,6 +11,7 @@ import platform
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .blob import (
@@ -99,7 +100,7 @@ def _load_blob(path: str) -> tuple[EncodedBlob, EncodingMap]:
 def _print_report(report: VerifyReport) -> None:
     print(json.dumps({
         "clean": report.clean,
-        "corrupted_indices": list(report.corrupted_indices),
+        "corrupted_indices": report.corrupted_indices,
         "scanned": report.scanned,
     }, sort_keys=True))
 
@@ -246,6 +247,12 @@ def cmd_bench(args) -> int:
     blob, parse_s = _best(lambda: EncodedBlob.from_bytes(raw))
     _, verify_s = _best(lambda: verify_blob(m, blob))
     _, decode_s = _best(lambda: decode_tensor(m, blob))
+    # the same blob over random words: nearly every word flagged, padding kept zero
+    noise = bytearray(rng.randbytes(len(blob.payload)))
+    if noise:
+        noise[-1] &= (0xFF << (8 * len(noise) - blob.n * blob.count)) & 0xFF
+    dirty = replace(blob, payload=bytes(noise))
+    _, verify_dirty_s = _best(lambda: verify_blob(m, dirty))
     if args.json:
         print(json.dumps({
             "code": args.code,
@@ -254,7 +261,8 @@ def cmd_bench(args) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "seconds": {"quantize": quantize_s, "encode": encode_s, "serialize": serialize_s,
-                        "parse": parse_s, "verify": verify_s, "decode": decode_s},
+                        "parse": parse_s, "verify": verify_s, "verify_dirty": verify_dirty_s,
+                        "decode": decode_s},
         }, sort_keys=True))
         return 0
     print(f"code={args.code} count={args.count} "

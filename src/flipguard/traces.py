@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from random import Random
@@ -185,16 +186,23 @@ def load_trace(path) -> AttackTrace:
         raise TraceParseError(f"{path}: {e}") from None
 
 
+# One change as json.dumps(..., sort_keys=True, indent=2) lays it out at depth 2
+_CHANGE = '    {\n      "index": %d,\n      "layer": %s,\n      "new": %d,\n      "old": %d\n    }'
+
+
 def trace_to_json(trace: AttackTrace) -> str:
-    """Stable serialization: sorted keys, no volatile fields."""
-    doc = {
-        "meta": trace.meta._asdict(),
-        "changes": [
-            {"layer": c.layer, "index": c.index, "old": c.old, "new": c.new}
-            for c in trace.changes
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Stable serialization: sorted keys, no volatile fields.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, laid
+    out here because ``indent=`` sends ``json.dumps`` to its pure-Python
+    encoder. Each change is one format string, its layer id quoted by the C
+    string encoder; ``AttackTrace`` has checked every field's type.
+    """
+    changes = ",\n".join([_CHANGE % (index, encode_basestring_ascii(layer), new, old)
+                          for layer, index, old, new in trace.changes])
+    changes = f"[\n{changes}\n  ]" if changes else "[]"
+    meta = json.dumps(trace.meta._asdict(), sort_keys=True, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "changes": {changes},\n  "meta": {meta}\n}}\n'
 
 
 def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> int:

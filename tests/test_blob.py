@@ -211,6 +211,20 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match=r"must lie in 0\.\."):
             EncodedBlob("C7_3", bits, n, count, "", b"").to_bytes()
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("bits", 4.0, "float"), ("bits", True, "bool"), ("n", 7.0, "float"),
+        ("count", False, "bool"), ("count", 0.0, "float"), ("code_id", 5, "int"),
+        ("code_id", b"C7_3", "bytes"), ("layer_id", None, "NoneType"),
+        ("layer_id", b"l", "bytes"),
+    ])
+    def test_header_fields_must_have_the_wire_formats_types(self, field, value, kind):
+        # each would construct, and then to_bytes would fail or write another value
+        fields = dict(code_id="C7_3", bits=4, n=7, count=0, layer_id="", payload=b"")
+        fields[field] = value
+        expected = "str" if field.endswith("_id") else "int"
+        with pytest.raises(TypeError, match=f"^{field}: expected {expected}, got {kind}$"):
+            EncodedBlob(**fields)
+
     @pytest.mark.parametrize("field, size", [("code_id", 256), ("layer_id", 65536)])
     def test_id_too_long_for_the_wire_format(self, field, size):
         fields = dict(code_id="C7_3", bits=4, n=7, count=0, layer_id="", payload=b"")

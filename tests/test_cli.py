@@ -362,7 +362,7 @@ class TestBench:
             "code": "C14_4", "count": 3000, "seed": 3}
         assert doc["python"] and doc["machine"]
         assert sorted(doc["seconds"]) == ["decode", "encode", "parse", "quantize",
-                                          "serialize", "verify"]
+                                          "serialize", "verify", "verify_dirty"]
         assert all(t >= 0 for t in doc["seconds"].values())
 
     @pytest.mark.parametrize("count", ["0", "1"])

@@ -2,17 +2,20 @@
 
 Every n-bit word of every code goes through ``verify_blob`` alone and all
 together; short counts and counts beside the field mask's 8-word byte period
-are checked, with planted flips, against ``reference_scan``.
+are checked, with planted flips, against ``reference_scan``, and so are
+blobs that shrink and grow past the shared tuple of word indices.
 """
 import random
 
 import pytest
 
+import flipguard.blob
 from flipguard.blob import EncodedBlob, decode_tensor, encode_tensor, pack_words, verify_blob
 from flipguard.codes import CODE_IDS, BinaryCode, BitWord
 from flipguard.encoding import EncodingMap, canonical_map
 
-from test_codec_differential import random_values, reference_scan, scan_both, with_payload
+from test_codec_differential import (
+    random_payload, random_values, reference_scan, scan_both, with_payload)
 
 # 1..17, then 8j - 1 and 8j + 1 further out
 PERIOD_COUNTS = (*range(1, 18), *(8 * j + s for j in (3, 4, 7, 16, 128) for s in (-1, 1)))
@@ -64,6 +67,31 @@ def test_period_counts_with_planted_flips_match_reference(code_id, count):
                 payload[bit // 8] ^= 0x80 >> (bit % 8)
         dirty = with_payload(clean, payload)
         assert scan_both(m, dirty) == reference_scan(m, dirty.payload, count)
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_shared_index_tuple_across_sizes_and_densities(code_id, monkeypatch):
+    # down from 2^12 words, where the tuple outruns the syndrome bytes, then up
+    monkeypatch.setattr(flipguard.blob, "_INDEX", ())
+    m = canonical_map(code_id)
+    n = m.code.n
+    rng = random.Random(f"{code_id}/index")
+    longest = 0
+    for count in (1 << 12, 17, (1 << 13) + 1):
+        values = random_values(rng, m, count)
+        clean = encode_tensor(m, values, "l")
+        before = flipguard.blob._INDEX
+        assert scan_both(m, clean) == (values, ())
+        assert flipguard.blob._INDEX is before
+        sparse = bytearray(clean.payload)
+        bit = (count - 1) * n
+        sparse[bit // 8] ^= 0x80 >> (bit % 8)
+        dense = random_payload(rng, n, count)
+        for payload in (sparse, dense):
+            dirty = with_payload(clean, payload)
+            assert scan_both(m, dirty) == reference_scan(m, dirty.payload, count)
+        longest = max(longest, count)
+        assert len(flipguard.blob._INDEX) == longest
 
 
 def test_full_dimension_code_flags_nothing():

@@ -395,6 +395,40 @@ class TestSynthesize:
             assert set(weights) <= set(range(1, b + 1))
 
 
+def reference_to_json(trace):
+    """The serializer trace_to_json replaced, on the pure-Python indent encoder."""
+    doc = {"meta": trace.meta._asdict(), "changes": [c._asdict() for c in trace.changes]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestSerializeDifferential:
+    """trace_to_json against ``json.dumps(doc, sort_keys=True, indent=2)``:
+    the same text for any string in the ids, and for an empty trace."""
+
+    @pytest.mark.parametrize("text", [
+        'say "hi"', "back\\slash\\", "tab\tnew\nline\r\x00\x1f\x7f", "caf\xe9",
+        "中文", "\U0001f600", "lone \ud800", "", "/<script>",
+    ])
+    def test_layer_and_meta_strings(self, text):
+        trace = AttackTrace(TraceMeta(text, 8, text, text), (
+            WeightChange(text, 0, -128, 127), WeightChange("l", 1 << 70, 1, -1)))
+        assert trace_to_json(trace) == reference_to_json(trace)
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_empty_trace(self, b):
+        trace = AttackTrace(TraceMeta("m", b, "x", "d"), ())
+        text = trace_to_json(trace)
+        assert text == reference_to_json(trace)
+        assert '\n  "changes": [],\n' in text and parse_trace(text) == trace
+
+    @given(st.text(), st.lists(st.tuples(
+        st.text(), st.integers(min_value=0), st.integers(-8, 7), st.integers(-8, 7),
+    ).filter(lambda c: c[2] != c[3]), max_size=4))
+    def test_any_strings(self, text, changes):
+        trace = AttackTrace(TraceMeta(text, 4, "x", text), tuple(WeightChange(*c) for c in changes))
+        assert trace_to_json(trace) == reference_to_json(trace)
+
+
 class TestPairFrequency:
     def test_fixture_counts(self):
         counts = pair_frequency([load_trace(FIXTURE)])
