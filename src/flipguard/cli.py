@@ -44,6 +44,8 @@ from .traces import (
     trace_width,
 )
 
+_MIN_RUNS = 10  # least runs per bench stage: at 2^20 values, best of 3-5 cannot resolve 25%
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for corruption here.
@@ -272,13 +274,13 @@ def cmd_bench(args) -> int:
 
 def _best(stage, seconds=0.2):
     """``stage()``'s last result and its best single-run time, run for at
-    least ``seconds`` and at least once; lazy set-up lands in the first run."""
-    best, stop = float("inf"), time.perf_counter() + seconds
-    while best == float("inf") or time.perf_counter() < stop:
+    least ``seconds`` and ``_MIN_RUNS`` times; lazy set-up lands in the first run."""
+    times, stop = [], time.perf_counter() + seconds
+    while len(times) < _MIN_RUNS or time.perf_counter() < stop:
         t0 = time.perf_counter()
         out = stage()
-        best = min(best, time.perf_counter() - t0)
-    return out, best
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
 
 
 def build_parser() -> argparse.ArgumentParser:

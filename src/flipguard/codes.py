@@ -139,24 +139,25 @@ def span_table(rows: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """Linear code over GF(2) given by independent generator rows.
+    """Linear code over GF(2) given by independent generator rows of one length, n.
 
     The codeword set is the full 2^k span of the generator; it is only
     materialized for dimensions up to 11 (2048 words).
     """
 
-    n: int
     generator: tuple[BitWord, ...]
 
     def __post_init__(self) -> None:
         if not self.generator:
             raise ValueError("generator must have at least one row")
         if any(g.n != self.n for g in self.generator):
-            raise ValueError("generator row length differs from code length")
-        if len(self.generator) > self.n:
-            raise ValueError("more generator rows than coordinates")
+            raise ValueError("generator rows differ in length")
         if len(self._pivots) != len(self.generator):
             raise ValueError("generator rows are linearly dependent")
+
+    @property
+    def n(self) -> int:
+        return self.generator[0].n
 
     @property
     def dimension(self) -> int:
@@ -236,7 +237,7 @@ def construct_hamming(r: int) -> BinaryCode:
         a = powers[-1] << 1
         powers.append(a ^ poly if a >> r else a)
     rows = (BitWord((1 << p) | powers[p], n) for p in range(n - 1, r - 1, -1))
-    return BinaryCode(n, tuple(rows))
+    return BinaryCode(tuple(rows))
 
 
 def extend_code(c: BinaryCode) -> BinaryCode:
@@ -249,7 +250,7 @@ def extend_code(c: BinaryCode) -> BinaryCode:
         return BitWord(((g.weight & 1) << c.n) | g.bits, c.n + 1)
 
     # Parity is additive, so extending the generator rows extends the span.
-    return BinaryCode(c.n + 1, tuple(ext(g) for g in c.generator))
+    return BinaryCode(tuple(ext(g) for g in c.generator))
 
 
 def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
@@ -281,7 +282,7 @@ def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
     rows = [pivots[p] for p in sorted(pivots, reverse=True) if p < width]
     if not rows:
         raise ValueError("shortening left only the zero word")
-    return BinaryCode(width, tuple(BitWord(r, width) for r in rows))
+    return BinaryCode(tuple(BitWord(r, width) for r in rows))
 
 
 def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) -> BinaryCode:
@@ -295,7 +296,7 @@ def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) ->
     words = c.codewords  # sorted; words[0] is the zero word
     rng = random.Random(seed)
     picks = (words[rng.randrange(1, len(words))] for _ in itertools.count())
-    return BinaryCode(c.n, _independent(picks, dim))
+    return BinaryCode(_independent(picks, dim))
 
 
 # Identity strings shared by the CLI, the blob header, and the map registry.

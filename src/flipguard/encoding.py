@@ -3,9 +3,9 @@
 A map is given by the codewords of the b unit patterns (pattern bit 1 =
 MSB) and is GF(2)-linear by construction: its table, indexed by the
 unsigned value of the b-bit two's-complement pattern, is the span of those
-images. The images of the three 4-bit maps are frozen constants; the 8-bit
-ones are derived by greedy basis assignment over the frozen code
-constructions.
+images, and so is its code. All six canonical maps are frozen images; the
+8-bit ones are those that greedy basis assignment derives over the frozen
+code constructions.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, _independent, _pivots, build_code, code_shape, span_table
+from .codes import BinaryCode, BitWord, _independent, code_shape, span_table
 from .quantize import _WIDTHS, value_range
 
 __all__ = [
@@ -28,14 +28,15 @@ __all__ = [
     "twos_complement_matrix",
 ]
 
-# Frozen images of the unit patterns e1..e4 (e1 = sign bit, i.e. the values
-# -8, 4, 2, 1) for the 4-bit codes; by linearity they fix all 16 codewords.
-# The 8-bit maps are not frozen; they fall out of greedy_basis
-# deterministically.
+# Frozen images of the unit patterns e1..eb (e1 = sign bit: -8, 4, 2, 1 for
+# b = 4), which fix all 2^b codewords; the 8-bit ones are greedy_basis of build_code.
 _CANONICAL_IMAGES = {
     "C7_3": "7F 65 17 4B",
     "C8_4": "FF 65 17 4B",
     "C9_4": "1EF 0BA 07C 01F",
+    "C12_3": "FEF 7FB E7F FDD FF6 2FF 5FE 79F",
+    "C13_4": "1FEF 07FB 0E7F 0FDD 0FF6 12FF 15FE 179F",
+    "C14_4": "2FEF 3EFB 3FF5 07FB 0FF6 15FD 1E9F 1F3D",
 }
 
 
@@ -44,32 +45,28 @@ class EncodingMap:
     """Linear bijection between b-bit patterns and the codewords of ``code``.
 
     ``basis_images[i]`` is the codeword for unit pattern e_(i+1), e1 being
-    the MSB; they must be b independent codewords, b = ``code.dimension``,
-    which is at most 8: the bulk codec moves each value as one byte. Every
-    other codeword follows by linearity, so a non-linear map cannot be
-    built.
+    the MSB: b independent words of one length, b at most 8 as the bulk
+    codec moves each value as one byte. ``code`` is their span; the other
+    codewords follow by linearity, so a non-linear map cannot be built.
     """
 
-    code: BinaryCode
     basis_images: tuple[BitWord, ...]
     code_id: str = "custom"
 
     def __post_init__(self) -> None:
-        images = tuple(self.basis_images)
-        object.__setattr__(self, "basis_images", images)
-        if self.code.dimension > 8:
-            raise ValueError(f"code dimension must be at most 8, got {self.code.dimension}")
-        if len(images) != self.code.dimension:
-            raise ValueError(f"need {self.code.dimension} basis images, got {len(images)}")
-        if any(w not in self.code for w in images):
-            raise ValueError("basis image is not a codeword")
-        if len(_pivots(w.bits for w in images)) != len(images):
-            raise ValueError("basis images are linearly dependent")
+        object.__setattr__(self, "basis_images", tuple(self.basis_images))
+        if self.b > 8:
+            raise ValueError(f"code dimension must be at most 8, got {self.b}")
+        self.code  # builds the span: bad images fail here, not on first use
+
+    @cached_property
+    def code(self) -> BinaryCode:
+        return BinaryCode(self.basis_images)
 
     @cached_property
     def b(self) -> int:
         """Width of the quantized values: the code dimension."""
-        return self.code.dimension
+        return len(self.basis_images)
 
     @cached_property
     def table(self) -> tuple[BitWord, ...]:
@@ -172,19 +169,16 @@ def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
 
 @lru_cache(maxsize=None)
 def canonical_map(code_id: str) -> EncodingMap:
-    """The frozen map for one of the six code ids.
+    """The frozen map for one of the six code ids; its code is the span of its images.
 
-    A 4-bit map is built over the span of its frozen images. For C7_3 and
-    C8_4 that span is the code of ``build_code``. The published 9-bit
-    codebook contains odd-weight words, so it spans its own (9, 16, 4) code
-    rather than a subset of the even-weight shortened construction.
+    For every id but C9_4 that span is the code of ``build_code``, and the
+    8-bit images are ``greedy_basis`` of it. The published 9-bit codebook
+    contains odd-weight words, so it spans its own (9, 16, 4) code rather
+    than a subset of the even-weight shortened construction.
     """
     _, n = code_shape(code_id)
-    if code_id in _CANONICAL_IMAGES:
-        images = tuple(BitWord.from_hex(h, n) for h in _CANONICAL_IMAGES[code_id].split())
-        return EncodingMap(BinaryCode(n, images), images, code_id)
-    code = build_code(code_id)
-    return EncodingMap(code, greedy_basis(code), code_id)
+    images = _CANONICAL_IMAGES[code_id].split()
+    return EncodingMap([BitWord.from_hex(h, n) for h in images], code_id)
 
 
 def encode_value(m: EncodingMap, v: int) -> BitWord:

@@ -80,10 +80,10 @@ class WeightChange(NamedTuple):
 
 @dataclass(frozen=True)
 class AttackTrace:
-    """A trace whose values obey the rules: ``meta`` has str method, model
-    and dataset and an int ``b`` that is a supported width, and each change
-    has a str layer, int (not bool) index, old and new, a nonnegative
-    index, old != new, and both values in range. Parsed and built traces
+    """A trace whose values obey the rules: ``meta`` is a TraceMeta with str
+    method, model and dataset and an int ``b`` that is a supported width, and
+    each change has a str layer, int (not bool) index, old and new, a
+    nonnegative index, old != new, and both values in range. Parsed and built traces
     alike are checked here, meta first, then the changes in order; the first
     fault raises, with the message ``parse_trace`` gives for the same JSON.
     ``changes`` is stored as a tuple, so what was checked cannot change
@@ -94,6 +94,8 @@ class AttackTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "changes", tuple(self.changes))
+        if type(self.meta) is not TraceMeta:
+            raise ValueError(f"meta: expected TraceMeta, got {type(self.meta).__name__}")
         for field, v in zip(TraceMeta._fields, self.meta):
             kind = int if field == "b" else str
             if type(v) is not kind:
@@ -319,6 +321,6 @@ def pair_frequency(traces: Iterable[AttackTrace]) -> list[list[int]]:
     half = 1 << (trace_width(traces) - 1)
     counts = [[0] * (2 * half) for _ in range(2 * half)]
     for t in traces:
-        for c in t.changes:
-            counts[c.old + half][c.new + half] += 1
+        for _, _, old, new in t.changes:
+            counts[old + half][new + half] += 1
     return counts

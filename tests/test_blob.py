@@ -235,7 +235,7 @@ class TestBlobFormat:
     def test_unregistered_code_id_is_corruption(self):
         # a custom map's blob verifies in memory but cannot be read back
         m = canonical_map("C7_3")
-        custom = EncodingMap(m.code, m.basis_images)
+        custom = EncodingMap(m.basis_images)
         blob = encode_tensor(custom, [-8, 0, 7], "l")
         assert verify_blob(custom, blob).clean
         with pytest.raises(CorruptBlobError, match="unknown code id 'custom'"):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flipguard.cli import _best, main
+from flipguard.cli import _MIN_RUNS, _best, main
 from flipguard.traces import parse_trace
 
 from reference_tables import (
@@ -379,7 +379,7 @@ class TestBench:
         assert len(calls) > 1 and out == len(calls) and 0 <= best < 0.02
         calls.clear()
         out, _ = _best(lambda: calls.append(None) or len(calls), seconds=0)
-        assert out == 1 and calls == [None]
+        assert out == _MIN_RUNS and calls == [None] * _MIN_RUNS
 
     def test_negative_count_is_bad_input(self, capsys):
         code, out, err = run(capsys, "bench", "--code", "C7_3", "--count", "-5")

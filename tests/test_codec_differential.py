@@ -24,7 +24,7 @@ from flipguard.blob import (
     unpack_words,
     verify_blob,
 )
-from flipguard.codes import CODE_IDS, BinaryCode, BitWord
+from flipguard.codes import CODE_IDS, BitWord
 from flipguard.encoding import EncodingMap, canonical_map, encode_value
 
 from test_blob import reference_pack
@@ -228,7 +228,7 @@ def random_map(rng, code_id):
         images = [BitWord(reduce(xor, (r for r in rows if rng.random() < 0.5), 0), code.n)
                   for _ in rows]
         try:
-            return EncodingMap(code, images)
+            return EncodingMap(images)
         except ValueError:  # dependent, or a zero image
             continue
 
@@ -317,4 +317,4 @@ def test_one_shot_iterables_encode_and_raise_like_lists(code_id):
 def test_maps_wider_than_a_byte_are_refused():
     units = tuple(BitWord(1 << i, 9) for i in reversed(range(9)))
     with pytest.raises(ValueError, match="code dimension must be at most 8, got 9"):
-        EncodingMap(BinaryCode(9, units), units)
+        EncodingMap(units)

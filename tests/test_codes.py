@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -155,7 +156,7 @@ class TestExtendCode:
         assert all(w.weight % 2 == 0 for w in c.codewords)
 
     def test_repetition_code_example(self):
-        c = BinaryCode(3, tuple(words("111")))
+        c = BinaryCode(tuple(words("111")))
         assert word_set(extend_code(c)) == {"0000", "1111"}
 
     def test_extension_matches_wordwise_parity(self):
@@ -188,7 +189,7 @@ def position_lists(n, most):
 class TestShorten:
     @pytest.mark.parametrize("code,most", [
         (construct_hamming(2), 2),
-        (BinaryCode(4, tuple(words("1100", "0011"))), 3),
+        (BinaryCode(tuple(words("1100", "0011"))), 3),
         (construct_hamming(3), 3),
         (extend_code(construct_hamming(3)), 3),
         (construct_hamming(4), 2),
@@ -241,14 +242,14 @@ class TestShorten:
         assert c.n == base.n - len(positions)
 
     def test_shortening_everything_away_fails(self):
-        c = BinaryCode(3, tuple(words("111")))
+        c = BinaryCode(tuple(words("111")))
         with pytest.raises(ValueError):
             shorten_code(c, [1])  # only the zero word survives
 
 
 class TestMinDistance:
     def test_two_word_code(self):
-        c = BinaryCode(2, tuple(words("11")))
+        c = BinaryCode(tuple(words("11")))
         assert c.min_distance == 2
 
     def test_nonlinear_pairwise_example(self):
@@ -313,22 +314,26 @@ class TestRegistry:
 
 
 class TestBinaryCodeValidation:
+    def test_fields_are_the_generator_alone(self):
+        # n is read off the rows
+        assert [f.name for f in dataclasses.fields(BinaryCode)] == ["generator"]
+
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
-            BinaryCode(3, tuple(words("110", "011", "101")))
+            BinaryCode(tuple(words("110", "011", "101")))
 
     def test_row_length_mismatch(self):
         with pytest.raises(ValueError):
-            BinaryCode(3, tuple(words("110", "0110")))
+            BinaryCode(tuple(words("110", "0110")))
 
     def test_empty_generator(self):
         with pytest.raises(ValueError):
-            BinaryCode(3, ())
+            BinaryCode(())
 
     @given(st.lists(st.integers(1, 255), min_size=1, max_size=6, unique=True))
     def test_span_is_closed_under_xor(self, rows):
         try:
-            c = BinaryCode(8, tuple(BitWord(r, 8) for r in rows))
+            c = BinaryCode(tuple(BitWord(r, 8) for r in rows))
         except ValueError:
             return  # dependent draw
         bits = {w.bits for w in c.codewords}
@@ -364,7 +369,7 @@ class TestParityChecks:
 @pytest.mark.parametrize("code", [
     build_code("C7_3"),
     build_code("C9_4"),
-    BinaryCode(9, tuple(BitWord.from_hex(h, 9) for h in ("1EF", "0BA", "07C", "01F"))),
+    BinaryCode(tuple(BitWord.from_hex(h, 9) for h in ("1EF", "0BA", "07C", "01F"))),
 ], ids=["C7_3", "C9_4", "C9_4-published"])
 def test_membership_agrees_with_codewords(code):
     members = {w.bits for w in code.codewords}

@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flipguard.blob import decode_tensor, encode_tensor
-from flipguard.codes import BinaryCode, BitWord, build_code, construct_hamming
+from flipguard.codes import BitWord, build_code, construct_hamming
 from flipguard.encoding import (
     EncodingMap,
     canonical_map,
@@ -46,30 +47,26 @@ class TestBuildFromBasis:
     )
 
     def test_unit_patterns_map_to_their_images(self):
-        m = EncodingMap(construct_hamming(3), list(self.IMAGES))
+        m = EncodingMap(list(self.IMAGES))
         assert m.basis_images == self.IMAGES  # stored as a tuple
         assert m.b == 4
+        assert m.code.codewords == construct_hamming(3).codewords
 
     def test_xor_of_set_bits(self):
         # pattern 1101 combines images 1, 2 and 4
-        m = EncodingMap(construct_hamming(3), self.IMAGES)
+        m = EncodingMap(self.IMAGES)
         assert str(m.table[0b1101]) == "1010001"
         assert m.table[0].bits == 0
         assert str(m.table[0b1000]) == "1111111"
 
-    def test_wrong_image_count(self):
-        with pytest.raises(ValueError, match="need 4 basis images, got 3"):
-            EncodingMap(construct_hamming(3), self.IMAGES[:3])
-
-    def test_non_codeword_image(self):
-        bad = (*self.IMAGES[:3], BitWord(0b1111110, 7))
-        with pytest.raises(ValueError, match="basis image is not a codeword"):
-            EncodingMap(construct_hamming(3), bad)
-
     def test_dependent_images(self):
         dep = (*self.IMAGES[:3], BitWord(self.IMAGES[0].bits ^ self.IMAGES[1].bits, 7))
-        with pytest.raises(ValueError, match="basis images are linearly dependent"):
-            EncodingMap(construct_hamming(3), dep)
+        with pytest.raises(ValueError, match="generator rows are linearly dependent"):
+            EncodingMap(dep)
+
+    def test_no_images(self):
+        with pytest.raises(ValueError, match="generator must have at least one row"):
+            EncodingMap(())
 
 
 class TestGreedyBasis:
@@ -86,8 +83,7 @@ class TestGreedyBasis:
     def test_greedy_map_matches_the_frozen_c7_3_distances(self):
         # greedy picks a different basis than the frozen table, but the
         # resulting distance profile is identical
-        code = construct_hamming(3)
-        m = EncodingMap(code, greedy_basis(code))
+        m = EncodingMap(greedy_basis(construct_hamming(3)))
         assert distance_matrix(m).entries == EXPECTED_MATRIX_C7_3
 
     def test_ties_break_to_smallest_value(self):
@@ -129,8 +125,7 @@ class TestCanonicalMaps:
     def test_frozen_images_span_the_construction(self, code_id, images):
         m = canonical_map(code_id)
         assert " ".join(w.hex() for w in m.basis_images) == images
-        span = BinaryCode(m.code.n, m.basis_images)
-        assert span.codewords == build_code(code_id).codewords
+        assert m.code.codewords == build_code(code_id).codewords
 
     def test_published_9_bit_code_is_not_even_weight(self):
         # contains weight-5 words, so it spans its own (9,16,4) code rather
@@ -262,18 +257,23 @@ class TestDistanceMatrix:
 
 class TestMapValidation:
     def test_fields_are_the_basis_alone(self):
-        # table and b are derived, so a non-linear map cannot be built
+        # code, table and b are derived, so a non-linear map cannot be built
         names = [f.name for f in dataclasses.fields(EncodingMap)]
-        assert names == ["code", "basis_images", "code_id"]
+        assert names == ["basis_images", "code_id"]
 
     def test_wrong_length_image_is_not_a_codeword(self):
         images = canonical_map("C7_3").basis_images
         wide = (BitWord(images[0].bits, 8), *images[1:])
-        with pytest.raises(ValueError, match="basis image is not a codeword"):
-            EncodingMap(construct_hamming(3), wide)
+        with pytest.raises(ValueError, match="generator rows differ in length"):
+            EncodingMap(wide)
 
-    def test_foreign_words_rejected(self):
-        code = construct_hamming(3)
-        other = BinaryCode(7, tuple(BitWord(1 << i, 7) for i in range(4)))
-        with pytest.raises(ValueError):
-            EncodingMap(code, other.generator)
+    def test_engine_tables_match_the_frozen_digest(self):
+        # sha256 of every canonical map's engine tables, cost table,
+        # codebook and distance matrix: any change to a map or its tables
+        # shows here
+        h = hashlib.sha256()
+        for code_id in ALL_IDS:
+            m = canonical_map(code_id)
+            h.update(repr((m._encoder, m._checks, m._decoder, m._costs, codebook_lines(m),
+                           distance_matrix(m).entries)).encode())
+        assert h.hexdigest() == "79508e0f2e8168a1a90531af6e30f92c9f0f4d47ce493e662e52f578c7598386"

@@ -35,7 +35,7 @@ def subcode(code, rng):
     the codewords, so generator rows are first sampled down to a dimension
     ``BinaryCode`` will enumerate."""
     if code.dimension > _ENUM_DIM_LIMIT:
-        code = BinaryCode(code.n, tuple(rng.sample(code.generator, _ENUM_DIM_LIMIT)))
+        code = BinaryCode(tuple(rng.sample(code.generator, _ENUM_DIM_LIMIT)))
     return linear_subcode(code, rng.randint(1, min(8, code.dimension)), rng.randrange(1 << 30))
 
 
@@ -61,7 +61,7 @@ def test_codes_of_every_width_match_reference(n):
     rng = random.Random(f"payloads/{n}")
     for code in codes_of_width(n):
         assert code.n == n and code.dimension <= 8
-        m = EncodingMap(code, code.generator)
+        m = EncodingMap(code.generator)
         for count in COUNTS:
             values = random_values(rng, m, count)
             clean = encode_tensor(m, values, "l")

@@ -11,7 +11,7 @@ import pytest
 
 import flipguard.blob
 from flipguard.blob import EncodedBlob, decode_tensor, encode_tensor, pack_words, verify_blob
-from flipguard.codes import CODE_IDS, BinaryCode, BitWord
+from flipguard.codes import CODE_IDS, BitWord
 from flipguard.encoding import EncodingMap, canonical_map
 
 from test_codec_differential import (
@@ -96,7 +96,7 @@ def test_shared_index_tuple_across_sizes_and_densities(code_id, monkeypatch):
 
 def test_full_dimension_code_flags_nothing():
     units = tuple(BitWord(1 << i, 4) for i in reversed(range(4)))
-    m = EncodingMap(BinaryCode(4, units), units)
+    m = EncodingMap(units)
     assert m.code.parity_checks == ()
     words = list(range(16)) * 3
     blob = EncodedBlob("custom", 4, 4, len(words), "l", pack_words(words, 4))

@@ -451,6 +451,13 @@ class TestPairFrequency:
         with pytest.raises(ValueError):
             pair_frequency([])
 
+    def test_plain_tuple_changes_are_counted(self):
+        # AttackTrace accepts a change as any 4-tuple, so its readers must too
+        trace = AttackTrace(TraceMeta("m", 4, "x", "d"), [("l", 0, 1, 2)])
+        counts = pair_frequency([trace])
+        assert counts[1 + 8][2 + 8] == 1
+        assert sum(map(sum, counts)) == 1
+
 
 class TestWallClock:
     def test_thirty_one_flips_take_about_100_seconds(self):
@@ -578,6 +585,11 @@ class TestChangeValidation:
         except ValueError:
             return
         assert parse_trace(trace_to_json(trace)) == trace
+
+    def test_plain_tuple_meta_rejected(self):
+        with pytest.raises(ValueError) as info:
+            AttackTrace(("m", 4, "x", "d"), ())
+        assert str(info.value) == "meta: expected TraceMeta, got tuple"
 
     def test_trace_range_check(self):
         meta = TraceMeta("m", 4, "x", "d")
