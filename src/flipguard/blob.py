@@ -41,7 +41,6 @@ values are returned for a dirty blob.
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -214,7 +213,7 @@ class VerifyReport:
 
 
 # The bytes of the b-bit values, b < 8: a value byte outside them is one
-# that array("b") takes but encode_value refuses (8..127 or -128..-9 at b=4).
+# that struct's "b" format takes but encode_value refuses (8..127 or -128..-9 at b=4).
 _IN_RANGE = {b: bytes(v & 0xFF for v in range(-(1 << b - 1), 1 << b - 1)) for b in range(1, 8)}
 
 
@@ -224,11 +223,11 @@ def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> 
     Each value becomes one byte, and the engine (``_apply``) maps every
     block of 8 value bytes to its n payload bytes.
     """
-    if not isinstance(values, (list, tuple)):  # read once; array() takes bytes raw
+    if not isinstance(values, (list, tuple)):  # an iterator is read once
         values = list(values)
     try:  # refuses non-ints, and values outside -128..127
-        vb = array("b", values).tobytes()
-    except (TypeError, OverflowError):
+        vb = struct.pack(f"{len(values)}b", *values)
+    except struct.error:
         vb = None
     if vb is None or m.b < 8 and vb.translate(None, _IN_RANGE[m.b]):
         for v in values:

@@ -148,6 +148,7 @@ class BinaryCode:
     generator: tuple[BitWord, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "generator", tuple(self.generator))
         if not self.generator:
             raise ValueError("generator must have at least one row")
         if any(g.n != self.n for g in self.generator):

@@ -12,6 +12,7 @@ __all__ = [
 ]
 
 _WIDTHS = (4, 8)
+_round = float.__round__  # round(x) looks __round__ up on type(x) at every call
 
 
 def value_range(b: int) -> tuple[int, int]:
@@ -39,20 +40,21 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
     Halfway cases round to even, then the result is clamped to the signed
     b-bit range.
     """
-    # Fast path: for x in [-half - 1/2, half - 1/2), half from _WIDTHS,
-    # round(x) needs no clamp. NaN fails the test, so NaN, +-inf and
-    # overflowed ratios take the checks below, as does anything the
-    # division or the comparison refuses; those raise as they always have.
+    # Fast path: for x in [-half - 1/2, half - 1/2), half from _WIDTHS, round(x) needs
+    # no clamp. NaN fails the test, so NaN, +-inf and overflowed ratios take the checks
+    # below, as does anything the division, the comparison or round refuses.
     try:
         x = omega / cfg.delta
         if (-8.5 <= x < 7.5) if cfg.bits == 4 else (-128.5 <= x < 127.5):
-            return round(x)
+            try:
+                return _round(x)
+            except TypeError:  # x is not a float (a Fraction, say): its own __round__
+                return round(x)
     except (TypeError, OverflowError):
         pass
     if not math.isfinite(omega):
         raise ValueError(f"weight must be finite, got {omega}")
-    # cfg.bits was validated by QuantConfig
-    half = 1 << (cfg.bits - 1)
+    half = 1 << (cfg.bits - 1)  # cfg.bits was validated by QuantConfig
     try:
         v = round(omega / cfg.delta)
     except OverflowError:  # omega / delta overflowed to +-inf

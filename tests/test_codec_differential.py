@@ -7,6 +7,7 @@ for membership in the map's table. Neither uses the map's cached byte tables.
 """
 import random
 import time
+from enum import IntEnum
 from functools import reduce
 from itertools import chain
 from operator import xor
@@ -275,7 +276,7 @@ def test_bools_encode_as_their_ints(code_id):
 
 @pytest.mark.parametrize("code_id", [c for c in CODE_IDS if canonical_map(c).b == 4])
 def test_four_bit_values_that_fit_a_byte_raise_like_encode_value(code_id):
-    # array("b") takes these, so only the codec's own range check refuses them
+    # struct's "b" format takes these, so only the codec's own range check refuses them
     m = canonical_map(code_id)
     for bad in chain(range(8, 128), range(-128, -8)):
         with pytest.raises(ValueError) as expected:
@@ -287,7 +288,7 @@ def test_four_bit_values_that_fit_a_byte_raise_like_encode_value(code_id):
 
 @pytest.mark.parametrize("code_id", CODE_IDS)
 def test_bytes_values_are_unsigned_ints(code_id):
-    # bytes hold 0..255; array("b") would read them raw, as -128..127
+    # bytes hold 0..255, which must not be read raw as the signed bytes -128..127
     m = canonical_map(code_id)
     half = 1 << (m.b - 1)
     assert encode_tensor(m, bytes([0, 1, half - 1]), "l").payload == \
@@ -295,6 +296,57 @@ def test_bytes_values_are_unsigned_ints(code_id):
     for data in (bytes([0, 255]), bytearray([half])):
         with pytest.raises(ValueError, match=f"value {data[-1]} out of range"):
             encode_tensor(m, data, "l")
+
+
+# Values the "b" struct format refuses, with the error encode_tensor raises for
+# them: encode_value's, for the first refused value. {lo} and {hi} are the
+# map's value range.
+REFUSED = (
+    (None, TypeError, "'<=' not supported between instances of 'int' and 'NoneType'"),
+    (1.5, TypeError, "unsupported operand type(s) for &: 'float' and 'int'"),
+    ("3", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    (1 << 70, ValueError, "value 1180591620717411303424 out of range [{lo}, {hi}]"),
+    (128, ValueError, "value 128 out of range [{lo}, {hi}]"),
+    (-129, ValueError, "value -129 out of range [{lo}, {hi}]"),
+)
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+@pytest.mark.parametrize("bad, kind, message", REFUSED)
+def test_refused_values_raise_encode_values_error(code_id, bad, kind, message):
+    m = canonical_map(code_id)
+    half = 1 << (m.b - 1)
+    for values in ([bad], [0, 1, bad, -1], (0, bad, bad)):
+        with pytest.raises(kind) as got:
+            encode_tensor(m, values, "l")
+        assert type(got.value) is kind
+        assert str(got.value) == message.format(lo=-half, hi=half - 1)
+
+
+class Level(IntEnum):
+    LOW = -3
+    HIGH = 5
+
+
+class Index:
+    """Not an int, but stands for one through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_int_stand_ins_encode_as_their_ints(code_id):
+    m = canonical_map(code_id)
+    half = 1 << (m.b - 1)
+    ints = [1, -3, 5, half - 1, -half, 0]
+    stand_ins = [True, Level.LOW, Level.HIGH, Index(half - 1), Index(-half), False]
+    blob = encode_tensor(m, stand_ins, "l")
+    assert blob == encode_tensor(m, ints, "l")
+    assert decode_tensor(m, blob) == ints
 
 
 @pytest.mark.parametrize("code_id", CODE_IDS)

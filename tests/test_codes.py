@@ -330,6 +330,18 @@ class TestBinaryCodeValidation:
         with pytest.raises(ValueError):
             BinaryCode(())
 
+    def test_generator_is_stored_as_a_tuple(self):
+        rows = [BitWord(7, 3)]
+        c = BinaryCode(rows)
+        assert type(c.generator) is tuple
+        assert hash(c) == hash(BinaryCode((BitWord(7, 3),)))
+        assert c == BinaryCode((BitWord(7, 3),))
+        rows.append(BitWord(7, 3))  # the caller's list, changed after the checks
+        assert c.generator == (BitWord(7, 3),)
+        assert c.dimension == 1 and len(c.codewords) == 2
+        for it in (iter(rows[:1]), (r for r in rows[:1])):
+            assert BinaryCode(it) == c
+
     @given(st.lists(st.integers(1, 255), min_size=1, max_size=6, unique=True))
     def test_span_is_closed_under_xor(self, rows):
         try:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,3 +249,74 @@ class TestQuantizeMatchesReference:
             half = -value_range(bits)[0]
             assert quantize((half - 0.5) * 0.5, QuantConfig(bits, 0.5)) == half - 1
             assert quantize((-half - 0.5) * 0.5, QuantConfig(bits, 0.5)) == -half
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 3, Fraction(1, 3)])
+    def test_every_tie_rounds_to_even(self, bits, delta):
+        # every k + 1/2 from -half - 1/2 to half + 1/2: the fast path's ties,
+        # its two ends and the first clamped tie past each
+        cfg = QuantConfig(bits, delta)
+        half = 1 << (bits - 1)
+        for k in range(-half - 1, half + 1):
+            omega = (k + Fraction(1, 2)) * delta
+            if not isinstance(delta, Fraction):
+                omega = float(omega)  # exact: k + 1/2 times 1, 1/2 or 3
+            even = k if k % 2 == 0 else k + 1
+            got = quantize(omega, cfg)
+            assert type(got) is int
+            assert got == min(max(even, -half), half - 1)
+            assert outcome(quantize, omega, cfg) == outcome(reference_quantize, omega, cfg)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_signed_zeros_give_the_int_zero(self, bits):
+        for delta in (0.1, TINY, 3, Fraction(1, 3)):
+            for omega in (0.0, -0.0):
+                got = quantize(omega, QuantConfig(bits, delta))
+                assert type(got) is int and got == 0  # not a float -0.0
+
+
+class Weight(float):
+    """A float subclass, as array libraries hand out."""
+
+
+# Fractions and ints up to 1e300 in magnitude: math.isfinite, which
+# reference_quantize applies first, refuses a Fraction too large for a float.
+FRACTION_WEIGHTS = st.fractions(min_value=-(10 ** 300), max_value=10 ** 300,
+                                max_denominator=10 ** 6)
+FRACTION_DELTAS = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6,
+                               max_denominator=10 ** 6)
+
+
+class TestQuantizeRatiosThatAreNotFloats:
+    """A ratio omega / delta that is not a float, a Fraction say, rounds
+    through its own __round__, like a float ratio through float's."""
+
+    @given(
+        st.one_of(FRACTION_WEIGHTS, st.integers(-(10 ** 6), 10 ** 6),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.one_of(FRACTION_DELTAS, st.integers(1, 10 ** 6), DELTAS),
+        st.sampled_from([4, 8]),
+    )
+    def test_fraction_and_int_weights_and_deltas(self, omega, delta, bits):
+        cfg = QuantConfig(bits, delta)
+        got = outcome(quantize, omega, cfg)
+        assert got == outcome(reference_quantize, omega, cfg)
+        assert type(got) is int
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), DELTAS, st.sampled_from([4, 8]))
+    def test_float_subclass_weights(self, omega, delta, bits):
+        cfg = QuantConfig(bits, delta)
+        got = quantize(Weight(omega), cfg)
+        assert type(got) is int
+        assert got == quantize(omega, cfg) == reference_quantize(Weight(omega), cfg)
+
+    def test_in_range_fraction_ratio_of_a_weight_too_large_for_a_float(self):
+        # The ratio is an exact Fraction in range, so the fast path rounds it;
+        # the checked path (reference_quantize) tests math.isfinite(omega)
+        # first, and that raises OverflowError for this omega.
+        cfg = QuantConfig(8, Fraction(10 ** 308))
+        assert quantize(Fraction(10 ** 310), cfg) == 100
+        assert quantize(Fraction(201, 2) * cfg.delta, cfg) == 100
+        assert quantize(-(10 ** 310), cfg) == -100
+        with pytest.raises(OverflowError):
+            reference_quantize(Fraction(10 ** 310), cfg)
