@@ -5,7 +5,8 @@ MSB) and is GF(2)-linear by construction: its table, indexed by the
 unsigned value of the b-bit two's-complement pattern, is the span of those
 images, and so is its code. All six canonical maps are frozen images; the
 8-bit ones are those that greedy basis assignment derives over the frozen
-code constructions.
+code constructions. Plain two's-complement storage is the identity map, so
+the baseline's costs come from the same per-map table as every code's.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .codes import BinaryCode, BitWord, _independent, code_shape, span_table
-from .quantize import _WIDTHS, value_range
+from .quantize import value_range
 
 __all__ = [
     "DistanceMatrix",
@@ -114,8 +115,9 @@ class EncodingMap:
 
     @cached_property
     def _costs(self) -> bytes:
-        """``_flip_costs`` under this map: entry k is table[k]'s weight, at
-        most 64 (``MAX_WORD_LEN``), so it fits a byte."""
+        """Translate table of the flips of each flip pattern k = u ^ v, zero
+        from 2^b up: table[k]'s weight, as table[u] ^ table[v] == table[k] (k's
+        own under the identity map, plain storage); at most 64, fits a byte."""
         return bytes(w.bits.bit_count() for w in self.table).ljust(256, b"\0")
 
 
@@ -189,38 +191,24 @@ def encode_value(m: EncodingMap, v: int) -> BitWord:
     return m.table[v & ((1 << m.b) - 1)]
 
 
-_PLAIN_COSTS = {b: bytes(k.bit_count() for k in range(1 << b)).ljust(256, b"\0") for b in _WIDTHS}
-
-
-def _flip_costs(b: int, encoding: EncodingMap | None) -> bytes:
-    """Translate table of the bit flips of each b-bit flip pattern k = u ^ v,
-    zero from 2^b up: the weight of k in plain two's complement; under a
-    map, which is linear, the weight of table[u] ^ table[v] == table[k]."""
-    if encoding is None:
-        value_range(b)  # validates the width
-        return _PLAIN_COSTS[b]
-    if encoding.b != b:
-        raise ValueError(f"map is {encoding.b}-bit but trace is {b}-bit")
-    return encoding._costs
-
-
-def _cost_matrix(b: int, encoding: EncodingMap | None) -> DistanceMatrix:
-    """Flip cost of every change u -> v, signed-ascending on both axes."""
-    costs = _flip_costs(b, encoding)
-    half = 1 << (b - 1)
-    patterns = [v & (2 * half - 1) for v in range(-half, half)]
-    entries = tuple(tuple([costs[u ^ v] for v in patterns]) for u in patterns)
-    return DistanceMatrix(b, entries)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 == 4, but only an int width is valid
+def _plain(b: int) -> EncodingMap:
+    """Plain two's-complement storage as a map: the identity, each unit
+    pattern stored as itself, so a flip pattern costs its own weight."""
+    value_range(b)  # validates the width
+    return EncodingMap([BitWord(1 << (b - 1 - i), b) for i in range(b)], "plain")
 
 
 def distance_matrix(m: EncodingMap) -> DistanceMatrix:
     """All pairwise codeword distances, signed-ascending on both axes."""
-    return _cost_matrix(m.b, m)
+    costs, half = m._costs, 1 << (m.b - 1)
+    patterns = [v & (2 * half - 1) for v in range(-half, half)]
+    return DistanceMatrix(m.b, tuple(tuple([costs[u ^ v] for v in patterns]) for u in patterns))
 
 
 def twos_complement_matrix(b: int) -> DistanceMatrix:
     """Baseline matrix: plain two's-complement flip counts, no code."""
-    return _cost_matrix(b, None)
+    return distance_matrix(_plain(b))
 
 
 def codebook_lines(m: EncodingMap) -> list[str]:

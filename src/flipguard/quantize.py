@@ -17,7 +17,7 @@ _round = float.__round__  # round(x) looks __round__ up on type(x) at every call
 
 def value_range(b: int) -> tuple[int, int]:
     """Inclusive signed range of a b-bit two's-complement integer."""
-    if b not in _WIDTHS:
+    if type(b) is not int or b not in _WIDTHS:  # 4.0 == 4, but 1 << 3.0 fails
         raise ValueError(f"bit width must be one of {_WIDTHS}, got {b}")
     half = 1 << (b - 1)
     return -half, half - 1

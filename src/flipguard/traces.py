@@ -6,10 +6,10 @@ A trace is a JSON document:
      "changes": [{"layer": "...", "index": 0, "old": -1, "new": 7}, ...]}
 
 Replay cost is the total number of bit flips the recorded weight changes
-need under a chosen representation: plain two's complement, or one of the
-encoding maps. Both are GF(2)-linear, so a change costs the weight of the
-image of its flip pattern ``old ^ new``: the pattern's own weight in two's
-complement, the weight of its codeword under a map.
+need under a chosen map; plain two's-complement storage is the identity
+map. A map is GF(2)-linear, so a change costs the weight of the image of its
+flip pattern ``old ^ new``: the weight of its codeword, which in plain
+storage is the pattern itself.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .encoding import EncodingMap, _flip_costs
+from .encoding import EncodingMap, _plain
 from .quantize import signed_value, value_range
 
 __all__ = [
@@ -212,7 +212,11 @@ def cost_of_trace(trace: AttackTrace, encoding: EncodingMap | None = None) -> in
 
     ``encoding=None`` replays against plain two's-complement storage.
     """
-    return sum(trace._patterns.translate(_flip_costs(trace.meta.b, encoding)))
+    b = trace.meta.b
+    m = _plain(b) if encoding is None else encoding
+    if m.b != b:
+        raise ValueError(f"map is {m.b}-bit but trace is {b}-bit")
+    return sum(trace._patterns.translate(m._costs))
 
 
 @dataclass(frozen=True)
@@ -232,6 +236,8 @@ def trace_stats(traces: Sequence[AttackTrace], encoding: EncodingMap | None = No
 
 def estimated_seconds(flips: int | float) -> float:
     """Wall-clock Rowhammer effort for a flip budget."""
+    if isinstance(flips, float) and not math.isfinite(flips):
+        raise ValueError(f"flip count must be finite, got {flips}")
     if flips < 0:
         raise ValueError("flip count must be nonnegative")
     return flips / ROWHAMMER_FLIPS_PER_SECOND

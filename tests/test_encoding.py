@@ -8,6 +8,7 @@ from flipguard.blob import decode_tensor, encode_tensor
 from flipguard.codes import BitWord, build_code, construct_hamming
 from flipguard.encoding import (
     EncodingMap,
+    _plain,
     canonical_map,
     codebook_lines,
     distance_matrix,
@@ -197,10 +198,21 @@ class TestDistanceMatrix:
     def test_twos_complement_baseline(self):
         assert twos_complement_matrix(4).entries == EXPECTED_FLIPS_4BIT
 
-    @pytest.mark.parametrize("b", [3, 5])
+    @pytest.mark.parametrize("b", [3, 5, 4.0, 8.0, True])
     def test_twos_complement_rejects_other_widths(self, b):
         with pytest.raises(ValueError, match="bit width must be one of"):
             twos_complement_matrix(b)
+
+    @pytest.mark.parametrize("int_first", [False, True])
+    def test_float_width_is_refused_whatever_was_cached(self, int_first):
+        # 4.0 == 4 and hash(4.0) == hash(4): the cached 4-bit map must not answer for 4.0
+        _plain.cache_clear()
+        for b in (4, 4.0, 4) if int_first else (4.0, 4, 4.0):
+            if type(b) is int:
+                assert twos_complement_matrix(b).entries == EXPECTED_FLIPS_4BIT
+            else:
+                with pytest.raises(ValueError, match="got 4.0$"):
+                    twos_complement_matrix(b)
 
     def test_accessor_uses_signed_values(self):
         dm = distance_matrix(canonical_map("C7_3"))

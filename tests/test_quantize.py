@@ -84,8 +84,8 @@ class TestQuantConfig:
         QuantConfig(8, 1e-3)
 
     def test_bad_bits(self):
-        for b in (0, 5, 16):
-            with pytest.raises(ValueError):
+        for b in (0, 5, 16, 4.0, 8.0, True):
+            with pytest.raises(ValueError, match=f"bit width must be one of \\(4, 8\\), got {b}$"):
                 QuantConfig(b, 0.1)
 
     def test_bad_delta(self):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -11,8 +12,14 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from flipguard.codes import CODE_IDS, code_shape
-from flipguard.encoding import _flip_costs, canonical_map, distance_matrix, twos_complement_matrix
+from flipguard.codes import CODE_IDS, BitWord, code_shape
+from flipguard.encoding import (
+    EncodingMap,
+    _plain,
+    canonical_map,
+    distance_matrix,
+    twos_complement_matrix,
+)
 from flipguard.quantize import signed_value
 from flipguard.traces import (
     AttackTrace,
@@ -470,8 +477,11 @@ class TestWallClock:
         assert ROWHAMMER_FLIPS_PER_SECOND == 0.31
 
     def test_negative_flips(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="flip count must be nonnegative"):
             estimated_seconds(-1)
+        for flips in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"flip count must be finite, got {flips}$"):
+                estimated_seconds(flips)
 
 
 class TestChangeValidation:
@@ -744,8 +754,20 @@ class TestCachedPatterns:
                              [(4, None), (8, None), *((code_shape(c)[0], c) for c in CODE_IDS)])
     def test_cost_tables(self, b, code_id):
         m = code_id and canonical_map(code_id)
-        table = _flip_costs(b, m)
-        assert _flip_costs(b, m) is table  # cached
+        table = (m or _plain(b))._costs
+        assert (m or _plain(b))._costs is table  # cached
         assert len(table) == 256 and not any(table[1 << b:])
         assert list(table[:1 << b]) == [reference_cost(0, signed_value(k, b), b, m)
                                         for k in range(1 << b)]
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_plain_storage_is_the_identity_map(self, b):
+        units = EncodingMap([BitWord(1 << (b - 1 - i), b) for i in range(b)])
+        assert distance_matrix(units) == twos_complement_matrix(b)
+        for seed in range(3):
+            trace = synthesize_trace(b, 300, seed=seed)
+            assert cost_of_trace(trace, units) == cost_of_trace(trace)
+        plain = _plain(b)
+        assert _plain(b) is plain  # cached
+        assert plain.code.n == b and plain.code.parity_checks == ()
+        assert [w.bits for w in plain.table] == list(range(1 << b))
