@@ -28,15 +28,17 @@ byte, output byte) pair, and one ``bytes.translate`` applies it to that
 pair of every block at once. Encode maps 8 value bytes to n payload bytes.
 Verify maps n payload bytes to 8 syndrome bytes, H·w over the code's
 parity-check rows H, and a word w is a codeword iff its syndrome is zero:
-``_flagged`` is the only code that decides that. It picks the flagged
-indices out of one shared tuple of word indices, ``_INDEX`` (about 40 B
-kept per word of the largest dirty blob seen), so the readout makes no int
-per word. Verify and decode each compute the syndromes afresh from the
-payload bytes. Clean decode maps the n payload bytes straight to the 8
-words' signed value bytes: on codewords the value is a GF(2)-linear
-function of the word, like the syndrome. Decoding is detection-only. A
-slice that is not a codeword is reported, never silently corrected, and no
-values are returned for a dirty blob.
+``_flagged`` is the only code that decides that. It counts the nonzero
+syndrome bytes in one pass. Fewer than count / ``_SPARSE`` are found one by
+one with ``bytes.find``, which skips clean stretches in C; more are picked
+by ``compress`` out of one shared tuple of word indices, ``_INDEX`` (about
+40 B kept per word of the largest densely flagged blob seen). So the readout
+makes no int per clean word. Verify and decode each compute the syndromes
+afresh from the payload bytes. Clean decode maps the n payload bytes
+straight to the 8 words' signed value bytes: on codewords the value is a
+GF(2)-linear function of the word, like the syndrome. Decoding is
+detection-only. A slice that is not a codeword is reported, never silently
+corrected, and no values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -240,12 +242,17 @@ def encode_tensor(m: EncodingMap, values: Sequence[int], layer_id: str = "") -> 
 
 
 # Word indices 0..k-1, made once and shared: ``range`` makes a fresh int for
-# every index above 256, flagged or not. Built on the first dirty blob, not
-# at import, and rebuilt only for a dirty blob with more words. It keeps
-# about 40 B per word of the largest dirty blob seen (an 8-byte slot and a
-# 28-byte int, allocated as 32), what a fully corrupt report of it holds.
+# every index above 256, flagged or not. Built on the first densely flagged
+# blob, not at import, and rebuilt only for a dense one with more words. It
+# keeps about 40 B per word of the largest such blob seen (an 8-byte slot and
+# a 28-byte int, allocated as 32), what a fully corrupt report of it holds.
 # A longer tuple reads the same: the words past count are zero padding.
 _INDEX: tuple[int, ...] = ()
+# Under count / _SPARSE flagged words, one ``find`` per flagged word (about
+# 0.2 us) in the syndromes mapped to 0/1 by _NONZERO beats ``compress`` (about
+# 8 ns per word): they break even near count / 24 (README "Performance").
+_SPARSE = 64
+_NONZERO = bytes(1) + b"\x01" * 255
 
 
 def _indices(k: int) -> tuple[int, ...]:
@@ -274,7 +281,12 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
         syndromes |= _apply(rounds, lanes, 8)
     if not syndromes:
         return lanes, ()
-    return lanes, tuple(compress(_indices(count), syndromes.to_bytes(8 * len(lanes[0]), "big")))
+    sb = syndromes.to_bytes(8 * len(lanes[0]), "big")
+    dirty = len(sb) - sb.count(0)  # padding words have syndrome 0
+    if dirty * _SPARSE >= count:
+        return lanes, tuple(compress(_indices(count), sb))
+    nz, i = sb.translate(_NONZERO), -1
+    return lanes, tuple([i := nz.find(1, i + 1) for _ in range(dirty)])
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:

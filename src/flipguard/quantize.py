@@ -64,7 +64,7 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
 
 def signed_value(pattern: int, b: int) -> int:
     """The signed value of a b-bit two's-complement pattern int."""
-    if not 0 <= pattern < (1 << b):
+    half = -value_range(b)[0]
+    if not 0 <= pattern < 2 * half:
         raise ValueError(f"pattern {pattern:#x} does not fit in {b} bits")
-    half = 1 << (b - 1)
-    return pattern - (1 << b) if pattern >= half else pattern
+    return pattern - 2 * half if pattern >= half else pattern

@@ -277,6 +277,8 @@ def synthesize_trace(
     seed, same trace.
     """
     lo, hi = value_range(b)
+    if type(num_changes) is not int:  # range() refuses 3.0, but takes True as 1
+        raise ValueError(f"num_changes: expected int, got {type(num_changes).__name__}")
     if num_changes < 0:
         raise ValueError("num_changes must be nonnegative")
     if msb_fraction is None:

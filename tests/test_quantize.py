@@ -44,6 +44,13 @@ class TestTwosComplement:
         with pytest.raises(ValueError):
             signed_value(-1, 4)
 
+    @pytest.mark.parametrize("b", [4.0, 8.0, True, 3, 16])
+    def test_signed_value_checks_width(self, b):
+        # the width goes through value_range, so a float or a bool is refused
+        # before it reaches a shift (4.0) or reads as 1 bit (True)
+        with pytest.raises(ValueError, match=f"bit width must be one of \\(4, 8\\), got {b}"):
+            signed_value(1, b)
+
 
 PLAIN_COSTS = {b: twos_complement_matrix(b).entries for b in (4, 8)}
 

@@ -374,7 +374,7 @@ class TestSynthesize:
         assert abs(msb_singles / len(singles) - DEFAULT_MSB_FRACTION[4]) < 0.04
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_changes must be nonnegative"):
             synthesize_trace(4, -1, seed=0)
         with pytest.raises(ValueError):
             synthesize_trace(4, 1, msb_fraction=1.5, seed=0)
@@ -386,6 +386,9 @@ class TestSynthesize:
             synthesize_trace(4, 1, multiflip_weights={1: 1.5, 2: -0.5}, seed=0)
         with pytest.raises(ValueError):
             synthesize_trace(16, 1, seed=0)
+        for num, kind in ((3.0, "float"), (True, "bool"), ("3", "str"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"num_changes: expected int, got {kind}$"):
+                synthesize_trace(4, num, seed=0)
 
     @pytest.mark.parametrize("weights, k", [
         ({1: float("nan")}, 1),
