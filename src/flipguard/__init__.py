@@ -21,11 +21,6 @@ from .codes import (
     BitWord,
     build_code,
     code_shape,
-    construct_hamming,
-    extend_code,
-    hamming_distance,
-    linear_subcode,
-    shorten_code,
 )
 from .encoding import (
     DistanceMatrix,
@@ -34,7 +29,6 @@ from .encoding import (
     codebook_lines,
     distance_matrix,
     encode_value,
-    greedy_basis,
     twos_complement_matrix,
 )
 from .quantize import QuantConfig, quantize

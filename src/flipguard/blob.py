@@ -315,6 +315,6 @@ class OverheadReport:
 def overhead_report(code_id: str, b: int) -> OverheadReport:
     """Exact storage overhead of a code relative to b raw bits per weight."""
     cb, n = code_shape(code_id)
-    if b != cb:
+    if type(b) is not int or b != cb:  # 4.0 == 4, but Fraction refuses a float
         raise ValueError(f"{code_id} protects {cb}-bit values, not {b}-bit")
     return OverheadReport(Fraction(100 * (n - b), b), n)

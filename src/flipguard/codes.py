@@ -1,4 +1,4 @@
-"""Binary linear codes on short bit-words.
+"""Binary linear codes on short bit-words, and the six frozen codes.
 
 Words are immutable fixed-length bit strings packed into a Python int.
 Coordinate 1 is the leftmost (most significant) bit; hex rendering reads
@@ -6,15 +6,17 @@ the whole word MSB-first, so the 7-bit word 1111111 prints as ``7F`` and
 9-bit words use three hex digits.
 
 All GF(2) elimination in the package is here: ``_reduce`` reduces a word
-against an echelon basis, ``_pivots`` builds one, ``_independent`` keeps
-the first independent candidates, ``span_table`` lists a span and
-``BinaryCode.parity_checks`` reads the check rows off the generator's
-reduced echelon form.
+against an echelon basis, ``_pivots`` builds one, ``span_table`` lists a
+span and ``BinaryCode.parity_checks`` reads the check rows off the
+generator's reduced echelon form.
+
+Every fact about the six registered codes is one row of ``_CODES``. Nothing
+is constructed at run time: the Hamming, extension, shortening and subcode
+steps that produced the rows are the tests' proof of them
+(``tests/derivation.py``).
 """
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -23,16 +25,9 @@ __all__ = [
     "BitWord",
     "BinaryCode",
     "CODE_IDS",
-    "DEFAULT_SUBCODE_SEED",
     "MAX_WORD_LEN",
     "build_code",
     "code_shape",
-    "construct_hamming",
-    "extend_code",
-    "hamming_distance",
-    "linear_subcode",
-    "pairwise_min_distance",
-    "shorten_code",
     "span_table",
 ]
 
@@ -40,20 +35,6 @@ MAX_WORD_LEN = 64
 
 # Spans larger than 2^11 words are never materialized.
 _ENUM_DIM_LIMIT = 11
-
-# Parity-check column order for construct_hamming is alpha^(n-1) .. alpha^0
-# over GF(2^r) with these primitive polynomials. The r=3 entry is the one
-# that makes the 7-bit construction land on the canonical 16-word codebook;
-# the others are the reciprocal-family polynomials of the same shape.
-_PRIMITIVE_POLY = {
-    2: 0b111,      # x^2 + x + 1
-    3: 0b1101,     # x^3 + x^2 + 1
-    4: 0b11001,    # x^4 + x^3 + 1
-    5: 0b101001,   # x^5 + x^3 + 1
-    6: 0b1100001,  # x^6 + x^5 + 1
-}
-
-DEFAULT_SUBCODE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -64,6 +45,10 @@ class BitWord:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("bits", "n"):
+            value = getattr(self, name)
+            if type(value) is not int:  # 1.0 would pass the range checks and fail in hex()
+                raise TypeError(f"{name}: expected int, got {type(value).__name__}")
         if not 1 <= self.n <= MAX_WORD_LEN:
             raise ValueError(f"word length must be 1..{MAX_WORD_LEN}, got {self.n}")
         if not 0 <= self.bits < (1 << self.n):
@@ -82,13 +67,6 @@ class BitWord:
 
     def __str__(self) -> str:
         return f"{self.bits:0{self.n}b}"
-
-
-def hamming_distance(u: BitWord, v: BitWord) -> int:
-    """Number of coordinates where u and v differ."""
-    if u.n != v.n:
-        raise ValueError(f"length mismatch: {u.n} vs {v.n}")
-    return (u.bits ^ v.bits).bit_count()
 
 
 def _reduce(word: int, pivots: dict[int, int]) -> int:
@@ -110,22 +88,6 @@ def _pivots(words: Iterable[int]) -> dict[int, int]:
         if reduced:
             pivots[reduced.bit_length() - 1] = reduced
     return pivots
-
-
-def _independent(candidates: Iterable[BitWord], k: int) -> tuple[BitWord, ...]:
-    """The first k candidates, in order, that are independent of those
-    already kept. Stops drawing as soon as it has k."""
-    kept: list[BitWord] = []
-    pivots: dict[int, int] = {}
-    for w in candidates:
-        reduced = _reduce(w.bits, pivots)
-        if not reduced:  # in the span of those kept
-            continue
-        kept.append(w)
-        pivots[reduced.bit_length() - 1] = reduced
-        if len(kept) == k:
-            return tuple(kept)
-    raise ValueError(f"fewer than {k} independent candidates")
 
 
 def span_table(rows: Sequence[int]) -> list[int]:
@@ -151,6 +113,9 @@ class BinaryCode:
         object.__setattr__(self, "generator", tuple(self.generator))
         if not self.generator:
             raise ValueError("generator must have at least one row")
+        for g in self.generator:
+            if type(g) is not BitWord:  # an int row has no length to check
+                raise TypeError(f"generator: expected BitWord, got {type(g).__name__}")
         if any(g.n != self.n for g in self.generator):
             raise ValueError("generator rows differ in length")
         if len(self._pivots) != len(self.generator):
@@ -177,9 +142,6 @@ class BinaryCode:
     @cached_property
     def _pivots(self) -> dict[int, int]:
         return _pivots(g.bits for g in self.generator)
-
-    def __contains__(self, word: BitWord) -> bool:
-        return word.n == self.n and _reduce(word.bits, self._pivots) == 0
 
     @cached_property
     def parity_checks(self) -> tuple[int, ...]:
@@ -209,138 +171,50 @@ class BinaryCode:
         return min(w.weight for w in self.codewords if w.bits)
 
 
-def pairwise_min_distance(words: Sequence[BitWord]) -> int:
-    """Minimum distance over all distinct pairs of an arbitrary word set."""
-    if len(words) < 2:
-        raise ValueError("need at least two words")
-    return min(
-        hamming_distance(words[i], words[j])
-        for i in range(len(words))
-        for j in range(i + 1, len(words))
-    )
-
-
-def construct_hamming(r: int) -> BinaryCode:
-    """Hamming code of redundancy r: a (2^r - 1, 2^(2^r - r - 1), 3) code.
-
-    The parity-check columns are the powers alpha^(n-1) .. alpha^0 of a
-    primitive element, so the code is cyclic and the column order is frozen
-    by ``_PRIMITIVE_POLY``. Bit position p carries alpha^p, so positions
-    0..r-1 hold the unit columns and ``(1 << p) | alpha^p`` is a codeword
-    for each p >= r: the generator comes out in systematic form.
-    """
-    if r not in _PRIMITIVE_POLY:
-        raise ValueError(f"redundancy must be 2..6, got {r}")
-    poly = _PRIMITIVE_POLY[r]
-    n = (1 << r) - 1
-    powers = [1]  # alpha^p, multiplying by x modulo poly
-    for _ in range(n - 1):
-        a = powers[-1] << 1
-        powers.append(a ^ poly if a >> r else a)
-    rows = (BitWord((1 << p) | powers[p], n) for p in range(n - 1, r - 1, -1))
-    return BinaryCode(tuple(rows))
-
-
-def extend_code(c: BinaryCode) -> BinaryCode:
-    """Add an overall parity bit at coordinate 1; every codeword ends up
-    with even weight. Extending a Hamming code raises the distance to 4."""
-    if c.n >= MAX_WORD_LEN:
-        raise ValueError("extension would exceed the 64-bit word limit")
-
-    def ext(g: BitWord) -> BitWord:
-        return BitWord(((g.weight & 1) << c.n) | g.bits, c.n + 1)
-
-    # Parity is additive, so extending the generator rows extends the span.
-    return BinaryCode(tuple(ext(g) for g in c.generator))
-
-
-def shorten_code(c: BinaryCode, positions: Sequence[int]) -> BinaryCode:
-    """Shorten a linear code at the given original coordinates: keep the
-    codewords with 0 at each position, then delete those coordinates.
-
-    Works on the generator rows alone. Each row is rewritten with the
-    shortened coordinates on top and the rest below in their original
-    order; the echelon rows ``_pivots`` makes of them whose pivot lies
-    below that block are zero on it and span the shortened code. Minimum
-    distance never decreases; the size drops by at most a factor of 2 per
-    position.
-    """
-    positions = list(positions)
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate shortening positions")
-    if any(not 1 <= p <= c.n for p in positions):
-        raise ValueError(f"positions must lie in 1..{c.n}")
-    if len(positions) >= c.n:
-        raise ValueError("cannot shorten away every coordinate")
-    order = positions + [i for i in range(1, c.n + 1) if i not in positions]
-
-    def move(w: int) -> int:
-        bits = f"{w:0{c.n}b}"  # bits[i - 1] is coordinate i
-        return int("".join(bits[i - 1] for i in order), 2)
-
-    width = c.n - len(positions)
-    pivots = _pivots(move(g.bits) for g in c.generator)
-    rows = [pivots[p] for p in sorted(pivots, reverse=True) if p < width]
-    if not rows:
-        raise ValueError("shortening left only the zero word")
-    return BinaryCode(tuple(BitWord(r, width) for r in rows))
-
-
-def linear_subcode(c: BinaryCode, dim: int, seed: int = DEFAULT_SUBCODE_SEED) -> BinaryCode:
-    """Random linear subcode of dimension ``dim``, deterministic per seed.
-
-    Generator rows are drawn by rejection sampling: uniform picks from the
-    sorted nonzero codeword list, dependent picks discarded.
-    """
-    if not 1 <= dim <= c.dimension:
-        raise ValueError(f"subcode dimension must be 1..{c.dimension}, got {dim}")
-    words = c.codewords  # sorted; words[0] is the zero word
-    rng = random.Random(seed)
-    picks = (words[rng.randrange(1, len(words))] for _ in itertools.count())
-    return BinaryCode(_independent(picks, dim))
-
-
-# Identity strings shared by the CLI, the blob header, and the map registry.
-CODE_IDS = ("C7_3", "C8_4", "C9_4", "C12_3", "C13_4", "C14_4")
-
-# code id -> (quantizer bits b, codeword length n)
-_CODE_SHAPE = {
-    "C7_3": (4, 7),
-    "C8_4": (4, 8),
-    "C9_4": (4, 9),
-    "C12_3": (8, 12),
-    "C13_4": (8, 13),
-    "C14_4": (8, 14),
+# code id -> (codeword length n, generator rows, images of the unit patterns
+# e1..eb, e1 = sign bit), words in hex; b is the number of images. Kept as
+# strings and parsed on first use, so importing the package parses nothing.
+#
+# The rows are the constructions of tests/derivation.py: C7_3 is the r=3
+# Hamming code and C8_4 that code extended; C12_3 is the r=4 Hamming code
+# shortened at coordinates 13..15; C9_4 and C13_4 are the extended r=4 code
+# shortened at 10..16 and at 14..16; C14_4 is a dimension-8 subcode, drawn
+# with seed 0, of the extended r=4 code shortened at 15..16. The images span
+# the same codes, the 8-bit ones being the greedy max-weight basis of each,
+# except C9_4's: the published 9-bit codebook has odd-weight words, so it
+# spans its own (9, 16, 4) code rather than the even-weight construction.
+_CODES = {
+    "C7_3": (7, "46 23 17 0D", "7F 65 17 4B"),
+    "C8_4": (8, "C6 A3 17 8D", "FF 65 17 4B"),
+    "C9_4": (9, "1C8 0AC 056 02B", "1EF 0BA 07C 01F"),
+    "C12_3": (12, "C80 701 320 141 0D1 064 032 019",
+              "FEF 7FB E7F FDD FF6 2FF 5FE 79F"),
+    "C13_4": (13, "1C80 0AC0 0701 0261 0189 00D1 007D 002B",
+              "1FEF 07FB 0E7F 0FDD 0FF6 12FF 15FE 179F"),
+    "C14_4": (14, "3627 18C6 30AF 3900 1B05 02B0 10B6 3DE9",
+              "2FEF 3EFB 3FF5 07FB 0FF6 15FD 1E9F 1F3D"),
 }
 
+# Identity strings shared by the CLI, the blob header, and the map registry.
+CODE_IDS = tuple(_CODES)
 
-def code_shape(code_id: str) -> tuple[int, int]:
-    """(b, n) for one of the six frozen code ids."""
+
+def _frozen(code_id: str) -> tuple[int, str, str]:
+    """The ``_CODES`` row of one of the six frozen code ids."""
     try:
-        return _CODE_SHAPE[code_id]
+        return _CODES[code_id]
     except KeyError:
         raise ValueError(f"unknown code id {code_id!r}, expected one of {CODE_IDS}") from None
 
 
+def code_shape(code_id: str) -> tuple[int, int]:
+    """(b, n) for one of the six frozen code ids."""
+    n, _, images = _frozen(code_id)
+    return len(images.split()), n
+
+
 @lru_cache(maxsize=None)
 def build_code(code_id: str) -> BinaryCode:
-    """One of the six frozen constructions.
-
-    C9_4, C13_4 and C14_4 derive from the extended r=4 Hamming code,
-    C12_3 from the plain one; "last k locations" means the k highest
-    coordinate indices.
-    """
-    code_shape(code_id)  # validates the id
-    if code_id == "C7_3":
-        return construct_hamming(3)
-    if code_id == "C8_4":
-        return extend_code(construct_hamming(3))
-    if code_id == "C9_4":
-        return shorten_code(extend_code(construct_hamming(4)), range(10, 17))
-    if code_id == "C12_3":
-        return shorten_code(construct_hamming(4), range(13, 16))
-    if code_id == "C13_4":
-        return shorten_code(extend_code(construct_hamming(4)), range(14, 17))
-    # C14_4: dimension-8 subcode of the twice-shortened extended code
-    parent = shorten_code(extend_code(construct_hamming(4)), range(15, 17))
-    return linear_subcode(parent, 8, DEFAULT_SUBCODE_SEED)
+    """The frozen code of one of the six ids, spanned by its generator rows."""
+    n, rows, _ = _frozen(code_id)
+    return BinaryCode(tuple(BitWord.from_hex(h, n) for h in rows.split()))

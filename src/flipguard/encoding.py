@@ -3,10 +3,10 @@
 A map is given by the codewords of the b unit patterns (pattern bit 1 =
 MSB) and is GF(2)-linear by construction: its table, indexed by the
 unsigned value of the b-bit two's-complement pattern, is the span of those
-images, and so is its code. All six canonical maps are frozen images; the
-8-bit ones are those that greedy basis assignment derives over the frozen
-code constructions. Plain two's-complement storage is the identity map, so
-the baseline's costs come from the same per-map table as every code's.
+images, and so is its code. All six canonical maps are frozen images,
+read from the code registry in ``codes``. Plain two's-complement storage is
+the identity map, so the baseline's costs come from the same per-map table
+as every code's.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, _independent, code_shape, span_table
+from .codes import BinaryCode, BitWord, _frozen, span_table
 from .quantize import value_range
 
 __all__ = [
@@ -25,21 +25,8 @@ __all__ = [
     "codebook_lines",
     "distance_matrix",
     "encode_value",
-    "greedy_basis",
     "twos_complement_matrix",
 ]
-
-# Frozen images of the unit patterns e1..eb (e1 = sign bit: -8, 4, 2, 1 for
-# b = 4), which fix all 2^b codewords; the 8-bit ones are greedy_basis of build_code.
-_CANONICAL_IMAGES = {
-    "C7_3": "7F 65 17 4B",
-    "C8_4": "FF 65 17 4B",
-    "C9_4": "1EF 0BA 07C 01F",
-    "C12_3": "FEF 7FB E7F FDD FF6 2FF 5FE 79F",
-    "C13_4": "1FEF 07FB 0E7F 0FDD 0FF6 12FF 15FE 179F",
-    "C14_4": "2FEF 3EFB 3FF5 07FB 0FF6 15FD 1E9F 1F3D",
-}
-
 
 @dataclass(frozen=True)
 class EncodingMap:
@@ -159,28 +146,16 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def greedy_basis(code: BinaryCode) -> tuple[BitWord, ...]:
-    """Max-weight-first basis: e1 gets the heaviest codeword, then each
-    next unit pattern the heaviest codeword independent of those chosen.
-    Ties break toward the smallest unsigned value."""
-    candidates = sorted(
-        (w for w in code.codewords if w.bits), key=lambda w: (-w.weight, w.bits)
-    )
-    return _independent(candidates, code.dimension)
-
-
 @lru_cache(maxsize=None)
 def canonical_map(code_id: str) -> EncodingMap:
-    """The frozen map for one of the six code ids; its code is the span of its images.
+    """The frozen map for one of the six code ids: its images from the
+    registry row (``codes._CODES``), its code their span.
 
-    For every id but C9_4 that span is the code of ``build_code``, and the
-    8-bit images are ``greedy_basis`` of it. The published 9-bit codebook
-    contains odd-weight words, so it spans its own (9, 16, 4) code rather
-    than a subset of the even-weight shortened construction.
+    For every id but C9_4 that span is the code of ``build_code``; C9_4's
+    published codebook spans its own (9, 16, 4) code.
     """
-    _, n = code_shape(code_id)
-    images = _CANONICAL_IMAGES[code_id].split()
-    return EncodingMap([BitWord.from_hex(h, n) for h in images], code_id)
+    n, _, images = _frozen(code_id)
+    return EncodingMap([BitWord.from_hex(h, n) for h in images.split()], code_id)
 
 
 def encode_value(m: EncodingMap, v: int) -> BitWord:

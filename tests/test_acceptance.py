@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from flipguard.blob import EncodedBlob, overhead_report, pack_words, unpack_words, verify_blob
 from flipguard.cli import main
-from flipguard.codes import CODE_IDS, build_code, code_shape, pairwise_min_distance
+from flipguard.codes import CODE_IDS, build_code, code_shape
 from flipguard.encoding import canonical_map, codebook_lines, distance_matrix, twos_complement_matrix
 from flipguard.quantize import value_range
 from flipguard.traces import (
@@ -24,6 +24,7 @@ from flipguard.traces import (
     trace_stats,
 )
 
+from derivation import pairwise_min_distance
 from reference_tables import (
     CODEBOOK_C7_3,
     CODEBOOK_C8_4,

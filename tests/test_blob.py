@@ -369,3 +369,6 @@ class TestOverhead:
             overhead_report("C7_3", 8)
         with pytest.raises(ValueError):
             overhead_report("C12_3", 4)
+        for code_id, b in (("C7_3", 4.0), ("C12_3", 8.0)):
+            with pytest.raises(ValueError, match=f"protects {int(b)}-bit values, not {b}-bit"):
+                overhead_report(code_id, b)

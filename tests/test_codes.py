@@ -4,21 +4,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from flipguard.codes import (
+from flipguard.codes import BinaryCode, BitWord, CODE_IDS, build_code, code_shape
+from flipguard.encoding import canonical_map
+from derivation import (
     _PRIMITIVE_POLY,
-    BinaryCode,
-    BitWord,
-    CODE_IDS,
-    build_code,
-    code_shape,
     construct_hamming,
+    derive_code,
     extend_code,
     hamming_distance,
+    is_codeword,
     linear_subcode,
     pairwise_min_distance,
     shorten_code,
 )
-from flipguard.encoding import canonical_map
 from reference_tables import EXPECTED_SHAPES, HAMMING7_WORDS
 
 
@@ -53,6 +51,15 @@ class TestBitWord:
             BitWord(8, 3)
         with pytest.raises(ValueError):
             BitWord(-1, 3)
+
+    @pytest.mark.parametrize("bits, n, field, kind", [
+        (1.0, 3, "bits", "float"), (True, 3, "bits", "bool"), ("7", 3, "bits", "str"),
+        (1, 3.0, "n", "float"), (1, True, "n", "bool"),
+    ], ids=["float-bits", "bool-bits", "str-bits", "float-n", "bool-n"])
+    def test_fields_must_be_ints(self, bits, n, field, kind):
+        # BitWord(1.0, 3) would pass the range checks and fail later, in hex()
+        with pytest.raises(TypeError, match=f"^{field}: expected int, got {kind}$"):
+            BitWord(bits, n)
 
 
 class TestHammingDistance:
@@ -142,8 +149,8 @@ class TestConstructHamming:
         assert (c.n, c.dimension) == (31, 26)
         with pytest.raises(ValueError):
             c.codewords
-        assert c.generator[0] in c
-        assert BitWord(1 << 30, 31) not in c  # weight 1, below distance 3
+        assert is_codeword(c, c.generator[0])
+        assert not is_codeword(c, BitWord(1 << 30, 31))  # weight 1, below distance 3
 
 
 class TestExtendCode:
@@ -312,6 +319,12 @@ class TestRegistry:
     def test_builds_are_cached(self):
         assert build_code("C7_3") is build_code("C7_3")
 
+    @pytest.mark.parametrize("code_id", CODE_IDS)
+    def test_frozen_rows_are_the_derivation(self, code_id):
+        # the registry's hex rows are exactly what the constructions give;
+        # a change in random's draw sequence would move C14_4 and fail here
+        assert derive_code(code_id).generator == build_code(code_id).generator
+
 
 class TestBinaryCodeValidation:
     def test_fields_are_the_generator_alone(self):
@@ -329,6 +342,12 @@ class TestBinaryCodeValidation:
     def test_empty_generator(self):
         with pytest.raises(ValueError):
             BinaryCode(())
+
+    @pytest.mark.parametrize("rows, kind", [((1, 2), "int"), ((BitWord(1, 3), 6), "int"),
+                                            (("111",), "str")], ids=["ints", "mixed", "str"])
+    def test_rows_must_be_bitwords(self, rows, kind):
+        with pytest.raises(TypeError, match=f"^generator: expected BitWord, got {kind}$"):
+            BinaryCode(rows)
 
     def test_generator_is_stored_as_a_tuple(self):
         rows = [BitWord(7, 3)]
@@ -386,4 +405,4 @@ class TestParityChecks:
 def test_membership_agrees_with_codewords(code):
     members = {w.bits for w in code.codewords}
     for bits in range(1 << code.n):
-        assert (BitWord(bits, code.n) in code) == (bits in members)
+        assert is_codeword(code, BitWord(bits, code.n)) == (bits in members)

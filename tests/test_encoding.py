@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flipguard.blob import decode_tensor, encode_tensor
-from flipguard.codes import BitWord, build_code, construct_hamming
+from flipguard.codes import BitWord, build_code
 from flipguard.encoding import (
     EncodingMap,
     _plain,
@@ -13,9 +13,9 @@ from flipguard.encoding import (
     codebook_lines,
     distance_matrix,
     encode_value,
-    greedy_basis,
     twos_complement_matrix,
 )
+from derivation import construct_hamming, derive_code, greedy_basis
 from reference_tables import (
     BASIS_IMAGES_8BIT,
     CODEBOOK_C7_3,
@@ -147,7 +147,7 @@ class TestCanonicalMaps:
     @pytest.mark.parametrize("code_id", EIGHT_BIT_IDS)
     def test_eight_bit_maps_come_from_greedy(self, code_id):
         m = canonical_map(code_id)
-        assert m.basis_images == greedy_basis(build_code(code_id))
+        assert m.basis_images == greedy_basis(derive_code(code_id))
 
     @pytest.mark.parametrize("code_id", EIGHT_BIT_IDS)
     def test_pinned_eight_bit_basis_images(self, code_id):
@@ -278,6 +278,15 @@ class TestMapValidation:
         wide = (BitWord(images[0].bits, 8), *images[1:])
         with pytest.raises(ValueError, match="generator rows differ in length"):
             EncodingMap(wide)
+
+    @pytest.mark.parametrize("images, kind", [
+        ([0x7F, 0x65, 0x17, 0x4B], "int"),
+        ([BitWord(0x7F, 7), 0x65, 0x17, 0x4B], "int"),
+        (["7F", "65", "17", "4B"], "str"),
+    ], ids=["ints", "mixed", "str"])
+    def test_images_must_be_bitwords(self, images, kind):
+        with pytest.raises(TypeError, match=f"^generator: expected BitWord, got {kind}$"):
+            EncodingMap(images)
 
     def test_engine_tables_match_the_frozen_digest(self):
         # sha256 of every canonical map's engine tables, cost table,

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from flipguard.blob import encode_tensor
-from flipguard.codes import (_ENUM_DIM_LIMIT, MAX_WORD_LEN, BinaryCode, BitWord, construct_hamming,
-                             extend_code, linear_subcode, shorten_code)
+from flipguard.codes import _ENUM_DIM_LIMIT, MAX_WORD_LEN, BinaryCode, BitWord
 from flipguard.encoding import EncodingMap
+
+from derivation import construct_hamming, extend_code, is_codeword, linear_subcode, shorten_code
 
 from test_codec_differential import random_payload, random_values, reference_scan, scan_both, with_payload
 
@@ -50,10 +51,11 @@ def codes_of_width(n):
 
 
 def members_only(code, payload, count):
-    """Indices of the payload's words outside the code, by ``in``."""
+    """Indices of the payload's words outside the code, by ``is_codeword``."""
     n = code.n
     bits = "".join(f"{byte:08b}" for byte in payload)
-    return tuple(i for i in range(count) if BitWord(int(bits[i * n:(i + 1) * n], 2), n) not in code)
+    return tuple(i for i in range(count)
+                 if not is_codeword(code, BitWord(int(bits[i * n:(i + 1) * n], 2), n)))
 
 
 @pytest.mark.parametrize("n", range(3, MAX_WORD_LEN + 1))
