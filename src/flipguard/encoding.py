@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Sequence
 
-from .codes import BinaryCode, BitWord, _frozen, span_table
+from .codes import CODE_IDS, BinaryCode, BitWord, _frozen, span_table
 from .quantize import value_range
 
 __all__ = [
@@ -36,6 +36,8 @@ class EncodingMap:
     the MSB: b independent words of one length, b at most 8 as the bulk
     codec moves each value as one byte. ``code`` is their span; the other
     codewords follow by linearity, so a non-linear map cannot be built.
+    A registered ``code_id`` names its frozen images and no others, as a
+    blob's header is read back through ``canonical_map`` of its id.
     """
 
     basis_images: tuple[BitWord, ...]
@@ -43,9 +45,15 @@ class EncodingMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis_images", tuple(self.basis_images))
+        if type(self.code_id) is not str:
+            raise TypeError(f"code_id: expected str, got {type(self.code_id).__name__}")
         if self.b > 8:
             raise ValueError(f"code dimension must be at most 8, got {self.b}")
         self.code  # builds the span: bad images fail here, not on first use
+        if self.code_id in CODE_IDS:
+            n, _, images = _frozen(self.code_id)
+            if [(w.bits, w.n) for w in self.basis_images] != [(int(h, 16), n) for h in images.split()]:
+                raise ValueError(f"images are not the frozen map of code id {self.code_id!r}")
 
     @cached_property
     def code(self) -> BinaryCode:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -25,7 +25,7 @@ from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .encoding import EncodingMap, _plain
-from .quantize import signed_value, value_range
+from .quantize import value_range
 
 __all__ = [
     "AttackTrace",
@@ -82,18 +82,20 @@ class WeightChange(NamedTuple):
 class AttackTrace:
     """A trace whose values obey the rules: ``meta`` is a TraceMeta with str
     method, model and dataset and an int ``b`` that is a supported width, and
-    each change has a str layer, int (not bool) index, old and new, a
-    nonnegative index, old != new, and both values in range. Parsed and built traces
-    alike are checked here, meta first, then the changes in order; the first
-    fault raises, with the message ``parse_trace`` gives for the same JSON.
-    ``changes`` is stored as a tuple, so what was checked cannot change
-    afterwards."""
+    each change has four fields: a str layer, int (not bool) index, old and
+    new, a nonnegative index, old != new, and both values in range. Parsed
+    and built traces alike are checked here, meta first, then the changes in
+    order; the first fault raises, with the message ``parse_trace`` gives for
+    the same JSON. ``changes`` is stored as a tuple, so what was checked
+    cannot change afterwards, and the check leaves ``_patterns``, one flip
+    pattern byte per change, for ``cost_of_trace`` to price."""
 
     meta: TraceMeta
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "changes", tuple(self.changes))
+        changes = tuple(self.changes)  # a tuple is returned as is
+        object.__setattr__(self, "changes", changes)
         if type(self.meta) is not TraceMeta:
             raise ValueError(f"meta: expected TraceMeta, got {type(self.meta).__name__}")
         for field, v in zip(TraceMeta._fields, self.meta):
@@ -104,27 +106,51 @@ class AttackTrace:
             lo, hi = value_range(self.meta.b)
         except ValueError as e:
             raise ValueError(f"meta.b: {e}") from None
-        for i, (layer, index, old, new) in enumerate(self.changes):
-            if (type(layer) is str and type(index) is type(old) is type(new) is int
-                    and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
-                continue
-            if type(layer) is not str:
-                raise ValueError(f"changes[{i}].layer: expected str, got {type(layer).__name__}")
-            for field, v in (("index", index), ("old", old), ("new", new)):
-                if type(v) is not int:
-                    raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")
-            if index < 0:
-                raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
-            if old == new:
-                raise ValueError(f"changes[{i}]: old and new are both {old}")
-            side, v = ("new", new) if lo <= old <= hi else ("old", old)
-            raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
-
-    @cached_property
-    def _patterns(self) -> bytes:
-        """One byte per change, its flip pattern (old ^ new) & (2^b - 1)."""
         mask = (1 << self.meta.b) - 1
-        return bytes([(old ^ new) & mask for _, _, old, new in self.changes])
+        # One pass checks every change and keeps its flip pattern. Both values
+        # in range, old == new exactly when the pattern is 0. A change the pass
+        # drops or cannot unpack sends the trace through the ordered check,
+        # which names the first fault.
+        try:
+            patterns = bytes([(old ^ new) & mask for layer, index, old, new in changes
+                              if type(layer) is str and type(index) is type(old) is type(new) is int
+                              and index >= 0 and lo <= old <= hi and lo <= new <= hi])
+        except (TypeError, ValueError):
+            patterns = b""
+        if len(patterns) != len(changes) or 0 in patterns:
+            _check_changes(changes, lo, hi)
+            # the pass may refuse what the ordered check lets through, never less
+            patterns = bytes([(old ^ new) & mask for _, _, old, new in changes])
+        object.__setattr__(self, "_patterns", patterns)
+
+
+_FIELDS = "4 fields (layer, index, old, new)"
+
+
+def _check_changes(changes: tuple, lo: int, hi: int) -> None:
+    """Check the changes in order; the first fault raises, with its path."""
+    for i, change in enumerate(changes):
+        try:
+            fields = tuple(change)
+        except TypeError:
+            raise ValueError(f"changes[{i}]: expected {_FIELDS}, got {type(change).__name__}") from None
+        if len(fields) != 4:
+            raise ValueError(f"changes[{i}]: expected {_FIELDS}, got {len(fields)}")
+        layer, index, old, new = fields
+        if (type(layer) is str and type(index) is type(old) is type(new) is int
+                and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
+            continue
+        if type(layer) is not str:
+            raise ValueError(f"changes[{i}].layer: expected str, got {type(layer).__name__}")
+        for field, v in (("index", index), ("old", old), ("new", new)):
+            if type(v) is not int:
+                raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")
+        if index < 0:
+            raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
+        if old == new:
+            raise ValueError(f"changes[{i}]: old and new are both {old}")
+        side, v = ("new", new) if lo <= old <= hi else ("old", old)
+        raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
 
 
 def _want(obj: Mapping, key: str, kind: type, where: str):
@@ -159,10 +185,11 @@ def parse_trace(text: str) -> AttackTrace:
     raw_changes = _want(doc, "changes", list, "top level")
     try:
         # json.loads yields exact types, so AttackTrace makes the same type
-        # tests as the _want checks below; tuple.__new__ skips the
-        # NamedTuple's Python-level __new__
+        # tests as the _want checks below; the records are built in C, by
+        # tuple.__new__ without the NamedTuple's Python-level __new__
         fields = itemgetter("layer", "index", "old", "new")
-        return AttackTrace(meta, [tuple.__new__(WeightChange, fields(e)) for e in raw_changes])
+        return AttackTrace(meta, tuple(map(tuple.__new__, repeat(WeightChange),
+                                           map(fields, raw_changes))))
     except (TypeError, KeyError, ValueError) as e:
         error = str(e)
     # Name the first shape fault, which wins over any value fault
@@ -290,25 +317,28 @@ def synthesize_trace(
     dist = _validate_multiflip(multiflip_weights, b)
 
     rng = Random(seed)
+    randint, random, randrange, sample = rng.randint, rng.random, rng.randrange, rng.sample
+    mask, half, last = (1 << b) - 1, hi + 1, dist[-1][0]  # last: k when rounding leaves r >= 0
+    # others[first]: the positions left for the remaining flips
+    others = [[p for p in range(1, b + 1) if p != first] for first in range(b + 1)]
+    record = tuple.__new__
     changes = []
     for i in range(num_changes):
-        old = rng.randint(lo, hi)
-        r = rng.random()
-        k = dist[-1][0]
+        old = randint(lo, hi)
+        r = random()
+        k = last
         for kk, p in dist:
             r -= p
             if r < 0:
                 k = kk
                 break
-        if rng.random() < msb_fraction:
-            first = 1
-        else:
-            first = rng.randrange(2, b + 1)
-        rest = rng.sample([p for p in range(1, b + 1) if p != first], k - 1)
-        pattern = old & ((1 << b) - 1)
-        for pos in (first, *rest):
-            pattern ^= 1 << (b - pos)
-        changes.append(WeightChange("synthetic", i, old, signed_value(pattern, b)))
+        first = 1 if random() < msb_fraction else randrange(2, b + 1)
+        pattern = (old & mask) ^ (1 << (b - first))
+        if k > 1:  # a sample of 0 draws nothing, so skipping it keeps the stream
+            for pos in sample(others[first], k - 1):
+                pattern ^= 1 << (b - pos)
+        new = (pattern ^ half) - half  # the pattern's signed value
+        changes.append(record(WeightChange, ("synthetic", i, old, new)))
     meta = TraceMeta("synthetic", b, "synthetic", "synthetic")
     return AttackTrace(meta, tuple(changes))
 

@@ -288,6 +288,29 @@ class TestMapValidation:
         with pytest.raises(TypeError, match=f"^generator: expected BitWord, got {kind}$"):
             EncodingMap(images)
 
+    def test_registered_id_names_only_its_frozen_images(self):
+        # reversed C7_3 images under the C7_3 id wrote a blob that the
+        # canonical map read back clean as other values
+        images = canonical_map("C7_3").basis_images
+        for bad, code_id in ((images[::-1], "C7_3"), (images, "C8_4"), (images, "C9_4"),
+                             (canonical_map("C13_4").basis_images, "C14_4")):
+            with pytest.raises(ValueError, match=f"^images are not the frozen map of code id "
+                                                 f"'{code_id}'$"):
+                EncodingMap(bad, code_id)
+        for code_id in ALL_IDS:
+            m = canonical_map(code_id)
+            assert EncodingMap(list(m.basis_images), code_id) == m
+        # an id outside the registry names any map
+        assert EncodingMap(images[::-1], "mine").code_id == "mine"
+        assert EncodingMap(images[::-1]).code_id == "custom"
+
+    @pytest.mark.parametrize("code_id", [5, None, b"C7_3", ("C7_3",)],
+                             ids=["int", "None", "bytes", "tuple"])
+    def test_code_id_must_be_str(self, code_id):
+        images = canonical_map("C7_3").basis_images
+        with pytest.raises(TypeError, match=f"^code_id: expected str, got {type(code_id).__name__}$"):
+            EncodingMap(images, code_id)
+
     def test_engine_tables_match_the_frozen_digest(self):
         # sha256 of every canonical map's engine tables, cost table,
         # codebook and distance matrix: any change to a map or its tables

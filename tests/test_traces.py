@@ -20,7 +20,7 @@ from flipguard.encoding import (
     distance_matrix,
     twos_complement_matrix,
 )
-from flipguard.quantize import signed_value
+from flipguard.quantize import signed_value, value_range
 from flipguard.traces import (
     AttackTrace,
     CostStats,
@@ -331,6 +331,29 @@ class TestSynthesize:
         text = trace_to_json(synthesize_trace(b, 2000, seed=seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("b, options, digest", [
+        (4, {"msb_fraction": 0.0},
+         "0107678c5fd5c4ed7b75eb7e40fcd846eb4a95dce306c7e08e66143b4ef173af"),
+        (4, {"msb_fraction": 1.0},
+         "a67b9185fb5a82160bfeeeafed2c9320ae59d3fdd85a4ba4f233a4a59892f9e6"),
+        (8, {"msb_fraction": 0.0},
+         "64090b78fd2976b72ef979dce2a39a1b21cddb19648a1a22bf9ace86f9fd8086"),
+        (8, {"msb_fraction": 1.0},
+         "b7820bb2032d74b3b2681ab159e5f9640325027629625600313f7e8284ce17bb"),
+        (4, {"multiflip_weights": {1: 0.25, 3: 0.25, 4: 0.5}},
+         "d539373870b7704b7e9d57fb144b6293ee4b200918a726d41c0fc0cbf11b8c3e"),
+        (8, {"multiflip_weights": {2: 0.3, 7: 0.2, 8: 0.5}},
+         "7e30ea087e39a97037ab6d7fc1c86214d9d228df825d9a0e6b2265a4953941ac"),
+        (4, {"multiflip_weights": {4: 1.0}},
+         "4eb01e8bc2150cb52166c1563b4c6078c7b84819ef3b36eec3f18b1ad4dc0703"),
+        (8, {"multiflip_weights": {8: 1.0}},
+         "5e891665b9eba3e0fd0ce5f1a9e99ad3f2fe8f377662450695493b4f2df05e1a"),
+    ], ids=["b4-msb0", "b4-msb1", "b8-msb0", "b8-msb1", "b4-k134", "b8-k278", "b4-k4", "b8-k8"])
+    def test_golden_output_of_other_options(self, b, options, digest):
+        # the sign-bit share at both ends, and flip counts up to k = b
+        text = trace_to_json(synthesize_trace(b, 2000, seed=3, **options))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_seed_changes_the_trace(self):
         assert synthesize_trace(4, 200, seed=1) != synthesize_trace(4, 200, seed=2)
 
@@ -507,6 +530,24 @@ class TestChangeValidation:
     def test_first_bad_change_wins(self):
         self.check([("l", 0, 8, 0), ("l", -1, 0, 1)],
                    "changes[0].old: expected integer in [-8, 7], got 8")
+
+    @pytest.mark.parametrize("changes, message", [
+        # a value fault before a short record: the value fault comes first
+        ([("l", 0, 9, 0), ("l", 0, 1)], "changes[0].old: expected integer in [-8, 7], got 9"),
+        ([("l", 0, 1, 2), ("l", 0, 1)],
+         "changes[1]: expected 4 fields (layer, index, old, new), got 3"),
+        ([("l", 0, 1, 2, 3)], "changes[0]: expected 4 fields (layer, index, old, new), got 5"),
+        ([("l", 0, 1, 2), ()], "changes[1]: expected 4 fields (layer, index, old, new), got 0"),
+        ([("l", 0, 1, 2), 7], "changes[1]: expected 4 fields (layer, index, old, new), got int"),
+        ([None, ("l", 0, 9, 0)],
+         "changes[0]: expected 4 fields (layer, index, old, new), got NoneType"),
+        ([("l", -1, 1, 2), 7], "changes[0]: index must be nonnegative, got -1"),
+    ], ids=["value-then-short", "short", "long", "empty", "int", "None-first", "index-then-int"])
+    def test_malformed_records_rejected_in_order(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            AttackTrace(TraceMeta("m", 4, "x", "d"), changes)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
     def test_records_are_plain_tuples(self):
         assert WeightChange("l", 0, 3, 4) == ("l", 0, 3, 4)
@@ -714,9 +755,110 @@ class TestParseDifferential:
         assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse, text)
 
 
+def reference_check(meta, changes):
+    """Frozen copy of the per-change loop that checked a built trace before
+    the patterns were made in the same pass, with its field-count rule, then
+    the pattern comprehension that pricing ran on first use."""
+    lo, hi = value_range(meta.b)
+    for i, change in enumerate(changes):
+        try:
+            fields = tuple(change)
+        except TypeError:
+            raise ValueError(f"changes[{i}]: expected 4 fields (layer, index, old, new), "
+                             f"got {type(change).__name__}") from None
+        if len(fields) != 4:
+            raise ValueError(f"changes[{i}]: expected 4 fields (layer, index, old, new), "
+                             f"got {len(fields)}")
+        layer, index, old, new = fields
+        if type(layer) is not str:
+            raise ValueError(f"changes[{i}].layer: expected str, got {type(layer).__name__}")
+        for field, v in (("index", index), ("old", old), ("new", new)):
+            if type(v) is not int:
+                raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")
+        if index < 0:
+            raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
+        if old == new:
+            raise ValueError(f"changes[{i}]: old and new are both {old}")
+        if not (lo <= old <= hi and lo <= new <= hi):
+            side, v = ("new", new) if lo <= old <= hi else ("old", old)
+            raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
+    mask = (1 << meta.b) - 1
+    return bytes([(old ^ new) & mask for _, _, old, new in changes])
+
+
+FAULTS = ["retyped", "range", "no-op", "negative", "short", "long", "non-record"]
+
+
+@st.composite
+def built_changes(draw, b, kinds=("good",) * 4 + tuple(FAULTS)):
+    """A change record of width b: well formed, or with a value of a wrong
+    type, out of range, a no-op, a negative index, 3 or 5 fields, or no
+    fields at all."""
+    lo, hi = value_range(b)
+    record = ["l", draw(st.integers(0, 3)), draw(st.integers(lo, hi)), draw(st.integers(lo, hi))]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "retyped":
+        record[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            [True, False, 0.0, 1.0, 2.5, float("nan"), "3", None, b"l"]))
+    elif kind == "range":
+        record[draw(st.integers(2, 3))] = draw(st.sampled_from([lo - 1, hi + 1, -129, 128, 10**30]))
+    elif kind == "no-op":
+        record[3] = record[2]
+    elif kind == "negative":
+        record[1] = draw(st.integers(-3, -1))
+    elif kind == "short":
+        del record[draw(st.integers(0, 3))]
+    elif kind == "long":
+        record.insert(draw(st.integers(0, 4)), draw(st.integers(-2, 2)))
+    elif kind == "non-record":
+        return draw(st.sampled_from([7, None, 1.5, True]))
+    return draw(st.sampled_from([tuple, list, lambda r: WeightChange(*r) if len(r) == 4 else r]))(record)
+
+
+@st.composite
+def built_traces(draw, one_fault):
+    """Meta and changes: any mix of faults, or good changes around one
+    change with a fault, so that no other fault sends it down the ordered
+    check."""
+    b = draw(st.sampled_from([4, 8]))
+    if not one_fault:
+        return TraceMeta("m", b, "x", "d"), draw(st.lists(built_changes(b), max_size=6))
+    changes = draw(st.lists(built_changes(b, ["good"]), max_size=5))
+    changes.insert(draw(st.integers(0, len(changes))), draw(built_changes(b, FAULTS)))
+    return TraceMeta("m", b, "x", "d"), changes
+
+
+def check_build(meta, changes):
+    def outcome(build):
+        try:
+            return build(meta, changes)
+        except Exception as e:
+            return type(e), str(e)
+    assert outcome(lambda m, c: AttackTrace(m, c)._patterns) == outcome(reference_check)
+
+
+class TestBuildDifferential:
+    """AttackTrace against the frozen ordered check: the same patterns, or
+    an error of the same type with the same message."""
+
+    @given(built_traces(one_fault=False))
+    def test_mixed_faults(self, trace):
+        check_build(*trace)
+
+    @given(built_traces(one_fault=True))
+    def test_one_fault(self, trace):
+        check_build(*trace)
+
+    @pytest.mark.parametrize("b", [4, 8])
+    def test_synthesized_traces(self, b):
+        trace = synthesize_trace(b, 2000, seed=b)
+        assert trace._patterns == reference_check(trace.meta, trace.changes)
+
+
 class TestCachedPatterns:
-    """Pricing caches one flip-pattern byte per change on the trace; copies
-    of a priced trace must equal and price like a freshly built one."""
+    """The check that builds a trace leaves one flip-pattern byte per change
+    on it; copies of a priced trace must equal and price like a freshly
+    built one."""
 
     @pytest.mark.parametrize("b", [4, 8])
     def test_copies_of_a_priced_trace(self, b):
