@@ -28,17 +28,20 @@ byte, output byte) pair, and one ``bytes.translate`` applies it to that
 pair of every block at once. Encode maps 8 value bytes to n payload bytes.
 Verify maps n payload bytes to 8 syndrome bytes, H·w over the code's
 parity-check rows H, and a word w is a codeword iff its syndrome is zero:
-``_flagged`` is the only code that decides that. It counts the nonzero
-syndrome bytes in one pass. Fewer than count / ``_SPARSE`` are found one by
-one with ``bytes.find``, which skips clean stretches in C; more are picked
-by ``compress`` out of one shared tuple of word indices, ``_INDEX`` (about
-40 B kept per word of the largest densely flagged blob seen). So the readout
-makes no int per clean word. Verify and decode each compute the syndromes
-afresh from the payload bytes. Clean decode maps the n payload bytes
-straight to the 8 words' signed value bytes: on codewords the value is a
-GF(2)-linear function of the word, like the syndrome. Decoding is
-detection-only. A slice that is not a codeword is reported, never silently
-corrected, and no values are returned for a dirty blob.
+``_flagged`` is the only code that decides that. Fewer than count /
+``_SPARSE`` flagged words are found one by one with ``bytes.find``, which
+skips clean stretches in C; more are picked by ``compress`` out of one
+shared tuple of word indices, ``_INDEX`` (about 40 B kept per word of the
+largest densely flagged blob seen). So the readout makes no int per clean
+word. A sparse dirty result stays on the blob for the map that found it,
+so verify then decode of a lightly flipped blob scans once; a clean or
+dense one is computed afresh from the payload bytes on every call, so a
+flip that lands between verify and decode of a clean blob is still
+caught. Clean decode maps the n payload bytes straight to the 8 words'
+signed value bytes: on codewords the value is a GF(2)-linear function of
+the word, like the syndrome. Decoding is detection-only. A slice that is
+not a codeword is reported, never silently corrected, and no values are
+returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -138,6 +141,8 @@ class EncodedBlob:
     count: int
     layer_id: str
     payload: bytes
+
+    _flags = None  # not a field: ``_flagged`` keeps a sparse dirty result here
 
     def __post_init__(self) -> None:
         for name in ("code_id", "bits", "n", "count", "layer_id"):
@@ -266,13 +271,27 @@ def _indices(k: int) -> tuple[int, ...]:
 
 def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int, ...]]:
     """The engine's lanes of the checked payload (``_payload_bits``) and the
-    ascending indices of the words w with H·w != 0: byte i of ``syndromes``
-    is word i's syndrome (ORed over sets of 8 rows), truthy when nonzero."""
+    ascending indices of the words w with H·w != 0: byte i of ``sb`` is word
+    i's syndrome (ORed over sets of 8 rows), truthy when nonzero.
+
+    A sparse dirty result, 1 to count / ``_SPARSE`` - 1 indices, is kept on
+    the blob as ``_flags``, (m, indices), for as long as the blob lives, and
+    a later call with the same map object returns it with no lanes and no
+    scan. It holds a reference to the map, and ``copy.copy`` and ``pickle``
+    carry both along. Such a blob is already known dirty, and a dirty result
+    lets no values out, so a flip that lands after the scan cannot reach a
+    caller. A clean result is not kept: every decode of a clean blob checks
+    its payload again before returning values. Neither is a dense result,
+    O(count) ints that would live as long as the blob.
+    """
     if (blob.code_id, blob.bits, blob.n) != (m.code_id, m.b, m.code.n):
         raise ValueError(
             f"blob header ({blob.code_id}, b={blob.bits}, n={blob.n}) does not "
             f"match map ({m.code_id}, b={m.b}, n={m.code.n})"
         )
+    kept = blob._flags
+    if kept is not None and kept[0] is m:
+        return [], kept[1]
     n, count = blob.n, blob.count
     blocks = _payload_bits(blob.payload, n, count)
     lanes = [blocks[j::n] for j in range(n)]
@@ -282,11 +301,16 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
     if not syndromes:
         return lanes, ()
     sb = syndromes.to_bytes(8 * len(lanes[0]), "big")
-    dirty = len(sb) - sb.count(0)  # padding words have syndrome 0
+    # No run of _SPARSE // 2 clean words leaves at least count / _SPARSE
+    # flagged, and only a sparse readout needs the count (padding words have
+    # syndrome 0).
+    dirty = len(sb) - sb.count(0) if bytes(_SPARSE // 2) in sb else count
     if dirty * _SPARSE >= count:
         return lanes, tuple(compress(_indices(count), sb))
     nz, i = sb.translate(_NONZERO), -1
-    return lanes, tuple([i := nz.find(1, i + 1) for _ in range(dirty)])
+    flagged = tuple([i := nz.find(1, i + 1) for _ in range(dirty)])
+    object.__setattr__(blob, "_flags", (m, flagged))
+    return lanes, flagged
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+import flipguard.blob as blob_module
 from flipguard.blob import (
     CorruptBlobError,
     EncodedBlob,
@@ -17,7 +18,7 @@ from flipguard.blob import (
     unpack_words,
     verify_blob,
 )
-from flipguard.codes import CODE_IDS, code_shape
+from flipguard.codes import CODE_IDS, BitWord, code_shape
 from flipguard.encoding import EncodingMap, canonical_map
 
 
@@ -343,6 +344,188 @@ class TestDecode:
     def test_out_of_range_value_wont_encode(self):
         with pytest.raises(ValueError):
             encode_tensor(canonical_map("C7_3"), [8], "l")
+
+
+def flip_words(blob, indices, j=0):
+    """The blob with bit j of each listed word flipped: every registered
+    code has distance 3 or more, so each of those words is flagged."""
+    payload = bytearray(blob.payload)
+    for i in indices:
+        bit = i * blob.n + j
+        payload[bit // 8] ^= 0x80 >> bit % 8
+    return dataclasses.replace(blob, payload=bytes(payload))
+
+
+def brute_force_flagged(m, blob):
+    members = {w.bits for w in m.table}
+    return tuple(i for i, w in enumerate(unpack_words(blob.payload, blob.n, blob.count))
+                 if w not in members)
+
+
+def random_blob(m, count, seed=0):
+    rng = random.Random(seed)
+    half = 1 << (m.b - 1)
+    return encode_tensor(m, [rng.randrange(-half, half) for _ in range(count)], "l")
+
+
+def noise_blob(blob, seed=0):
+    """The blob over random words, padding kept zero: nearly all flagged."""
+    noise = bytearray(random.Random(seed).randbytes(len(blob.payload)))
+    noise[-1] &= (0xFF << (8 * len(noise) - blob.n * blob.count)) & 0xFF
+    return dataclasses.replace(blob, payload=bytes(noise))
+
+
+def has_clean_run(flagged, count, run=32):
+    """Whether the syndrome bytes, count rounded up to whole blocks of 8
+    words, hold ``run`` zero bytes in a row."""
+    gaps = [b - a - 1 for a, b in zip((-1, *flagged), (*flagged, -(-count // 8) * 8))]
+    return max(gaps) >= run
+
+
+class TestReadout:
+    """The flagged-index readout against brute force on both sides of the
+    sparse cutoff, count / 64 flagged words."""
+
+    @pytest.mark.parametrize("count", [4096, 4100])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("layout", ["spread", "run"])
+    def test_around_the_cutoff(self, count, offset, layout):
+        m = canonical_map("C13_4")
+        k = count // 64 + offset
+        # spread: one flagged word in every count // k, the last of each stretch
+        flagged = (tuple(range(count // k - 1, count, count // k)) if layout == "spread"
+                   else tuple(range(k)))
+        blob = flip_words(random_blob(m, count), flagged)
+        assert len(flagged) == k and has_clean_run(flagged, count)
+        assert verify_blob(m, blob).corrupted_indices == flagged == brute_force_flagged(m, blob)
+        assert (blob._flags is not None) == (k * 64 < count)
+
+    @pytest.mark.parametrize("count, stride", [(4096, 32), (4100, 31), (80, 27), (20, 7), (1, 1)])
+    def test_no_clean_run_is_dense(self, count, stride):
+        # without 32 clean words in a row, at least count / 64 are flagged
+        m = canonical_map("C13_4")
+        flagged = tuple(range(stride - 1, count, stride)) or (0,)
+        blob = flip_words(random_blob(m, count), flagged)
+        assert not has_clean_run(flagged, count)
+        assert len(flagged) * 64 >= count
+        assert verify_blob(m, blob).corrupted_indices == flagged == brute_force_flagged(m, blob)
+        assert blob._flags is None
+
+    def test_random_payload(self):
+        m = canonical_map("C7_3")
+        blob = noise_blob(random_blob(m, 3000))
+        assert verify_blob(m, blob).corrupted_indices == brute_force_flagged(m, blob)
+
+
+class TestKeptScan:
+    """A sparse dirty scan result stays on the blob for its map object; a
+    clean or dense one is scanned afresh on every call."""
+
+    def test_keyed_on_the_map_object(self):
+        hamming = EncodingMap(canonical_map("C7_3").basis_images)  # both "custom", n=7, b=4
+        top = EncodingMap([BitWord(0x40 >> i, 7) for i in range(4)])  # low 3 bits zero
+        for m, other in ((hamming, top), (top, hamming)):
+            clean = random_blob(m, 300)
+            assert verify_blob(m, clean).clean and clean._flags is None
+            assert verify_blob(other, clean) == verify_blob(other, dataclasses.replace(clean))
+            blob = flip_words(clean, [5, 250], j=6)  # top's code is 0 there
+            assert verify_blob(m, blob).corrupted_indices == (5, 250)
+            assert blob._flags[0] is m
+            cold = verify_blob(other, dataclasses.replace(blob))
+            assert cold.corrupted_indices != (5, 250)
+            assert verify_blob(other, blob) == cold
+            assert decode_tensor(other, blob) == cold
+        # an equal map that is another object scans again, to the same result
+        blob = flip_words(random_blob(hamming, 300), [5, 250])
+        twin = EncodingMap(hamming.basis_images)
+        assert twin == hamming and twin is not hamming
+        assert verify_blob(hamming, blob) == verify_blob(twin, blob)
+        assert blob._flags[0] is twin
+
+    def test_header_mismatch_still_raises(self):
+        m = canonical_map("C7_3")
+        blob = flip_words(random_blob(m, 100), [7])
+        assert verify_blob(m, blob).corrupted_indices == (7,) and blob._flags is not None
+        for other in (canonical_map("C8_4"), EncodingMap(m.basis_images)):
+            for scan in (verify_blob, decode_tensor):
+                with pytest.raises(ValueError, match="does not match map"):
+                    scan(other, blob)
+
+    def test_invisible_outside_the_scan(self):
+        m = canonical_map("C13_4")
+        blob = flip_words(random_blob(m, 200), [9])
+        fresh = dataclasses.replace(blob)
+        decode_tensor(m, blob)
+        assert blob._flags is not None and fresh._flags is None
+        assert blob == fresh and hash(blob) == hash(fresh) and repr(blob) == repr(fresh)
+        assert blob.to_bytes() == fresh.to_bytes()
+        assert [f.name for f in dataclasses.fields(blob)] == [
+            "code_id", "bits", "n", "count", "layer_id", "payload"]
+        assert dataclasses.replace(blob)._flags is None
+
+    @pytest.mark.parametrize("code_id", CODE_IDS)
+    def test_a_clean_read_checks_the_payload_again(self, code_id):
+        # memory under a verified blob can still change: swap a flipped
+        # payload in behind the frozen fields, and decode must flag it
+        m = canonical_map(code_id)
+        blob = random_blob(m, 200)
+        dirty = flip_words(blob, [17])
+        for first in (verify_blob, decode_tensor):
+            read = dataclasses.replace(blob)
+            first(m, read)
+            assert read._flags is None
+            object.__setattr__(read, "payload", dirty.payload)
+            assert decode_tensor(m, read) == verify_blob(m, dirty)
+            assert decode_tensor(m, read).corrupted_indices == (17,)
+
+    def test_a_kept_dirty_result_lets_no_values_out(self):
+        # the kept report answers even if the payload is swapped for a clean
+        # one: the blob stays known dirty, and decode returns no values
+        m = canonical_map("C9_4")
+        blob = random_blob(m, 200)
+        dirty = flip_words(blob, [3, 150])
+        report = verify_blob(m, dirty)
+        object.__setattr__(dirty, "payload", blob.payload)
+        assert decode_tensor(m, dirty) == report == verify_blob(m, dirty)
+        assert verify_blob(m, dataclasses.replace(dirty)).clean
+
+    @pytest.mark.parametrize("code_id", CODE_IDS)
+    def test_either_order_matches_cold_calls(self, code_id):
+        m = canonical_map(code_id)
+        for count in (8, 100):  # one flagged word: dense of 8, sparse of 100
+            clean = random_blob(m, count, seed=count)
+            values = decode_tensor(m, dataclasses.replace(clean))
+            assert (verify_blob(m, clean).clean, decode_tensor(m, clean)) == (True, values)
+            for bit in range(count * m.code.n):
+                payload = bytearray(clean.payload)
+                payload[bit // 8] ^= 0x80 >> bit % 8
+                dirty = dataclasses.replace(clean, payload=bytes(payload))
+                cold = verify_blob(m, dataclasses.replace(dirty))
+                assert cold.corrupted_indices == (bit // m.code.n,)
+                assert decode_tensor(m, dataclasses.replace(dirty)) == cold
+                first = dataclasses.replace(dirty)
+                assert (verify_blob(m, first), decode_tensor(m, first)) == (cold, cold)
+                assert (decode_tensor(m, dirty), verify_blob(m, dirty)) == (cold, cold)
+        noise = noise_blob(random_blob(m, 500))
+        cold = verify_blob(m, dataclasses.replace(noise))
+        assert decode_tensor(m, dataclasses.replace(noise)) == cold
+        assert (verify_blob(m, noise), decode_tensor(m, noise), verify_blob(m, noise)) == (cold,) * 3
+
+    @pytest.mark.parametrize("kind, passes", [("clean", 2), ("sparse", 1), ("dense", 2)])
+    def test_syndrome_passes_per_blob_and_map(self, monkeypatch, kind, passes):
+        m = canonical_map("C12_3")
+        blob = random_blob(m, 1000)
+        blob = {"clean": blob, "sparse": flip_words(blob, [3, 999]), "dense": noise_blob(blob)}[kind]
+        calls, apply = [], blob_module._apply
+        monkeypatch.setattr(blob_module, "_apply",
+                            lambda r, *a: calls.append(r in m._checks) or apply(r, *a))
+        for first, second in ((verify_blob, decode_tensor), (decode_tensor, verify_blob)):
+            fresh = dataclasses.replace(blob)
+            for each in (m, EncodingMap(m.basis_images, "C12_3")):  # equal maps, two objects
+                calls.clear()
+                first(each, fresh)
+                second(each, fresh)
+                assert calls.count(True) == passes
 
 
 class TestOverhead:

@@ -203,8 +203,14 @@ def test_verify_and_decode_read_the_payload_once(monkeypatch, dirty):
     monkeypatch.setattr(blob_module, "_payload_bits", lambda *a: calls.append(a) or read(*a))
     for scan in (verify_blob, decode_tensor):
         calls.clear()
-        scan(m, blob)
+        scan(m, with_payload(blob, blob.payload))  # a fresh blob keeps no result
         assert len(calls) == 1
+    # decode after verify reads a clean blob again, to check it before
+    # returning values, and a sparse dirty one not at all: its report is kept
+    verify_blob(m, blob)
+    calls.clear()
+    decode_tensor(m, blob)
+    assert len(calls) == (0 if dirty else 1)
 
 
 def test_million_value_round_trip():
