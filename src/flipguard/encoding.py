@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 from typing import Sequence
 
 from .codes import CODE_IDS, BinaryCode, BitWord, _frozen, span_table
@@ -72,22 +71,27 @@ class EncodingMap:
         return tuple(BitWord(w, n) for w in span_table([w.bits for w in self.basis_images]))
 
     @cached_property
-    def _encoder(self) -> _Rounds:
-        """Engine rounds from a block's 8 value bytes to its n payload bytes."""
+    def _encoder(self) -> _Tables:
+        """Engine tables from a block's 8 value bytes to its n payload bytes."""
         n, mask = self.code.n, (1 << self.b) - 1
-        return _block_rounds([[self.table[0x80 >> u & mask].bits << n * (7 - s) for u in range(8)]
+        return _block_tables([[self.table[0x80 >> u & mask].bits << n * (7 - s) for u in range(8)]
                               for s in range(8)], n)
 
     @cached_property
-    def _checks(self) -> tuple[_Rounds, ...]:
-        """Engine rounds to the words' syndrome bytes, one set per 8
-        parity-check rows: bit i of set g's byte checks row 8g + i."""
-        rows = self.code.parity_checks
-        return tuple(_read_rounds(self.code.n, rows[g : g + 8]) for g in range(0, len(rows), 8))
+    def _checks(self) -> tuple[tuple[int, _Sources, bytes | None], ...]:
+        """The syndrome tests, one per word slot o and set of 8 parity-check
+        rows (bit i of set g's byte checks row 8g + i): (o, the slot's
+        sources, kernel). A one-source slot's kernel holds the bytes its
+        table maps to 0; a slot of more sources has none."""
+        n, rows = self.code.n, self.code.parity_checks
+        return tuple((o, sources, bytes(x for x, s in enumerate(sources[0][1]) if not s)
+                      if len(sources) == 1 else None)
+                     for g in range(0, len(rows), 8)
+                     for o, sources in enumerate(_read_tables(n, rows[g : g + 8])))
 
     @cached_property
-    def _decoder(self) -> _Rounds:
-        """Engine rounds from a block's n payload bytes to its 8 words'
+    def _decoder(self) -> _Tables:
+        """Engine tables from a block's n payload bytes to its 8 words'
         signed value bytes.
 
         A codeword is fixed by its bits at the b pivot positions of the
@@ -106,7 +110,7 @@ class EncodingMap:
                 units[on.bit_length() - 1] = k
         sign = self.b - 1
         rows = [sum(1 << p for p, k in units.items() if k >> min(i, sign) & 1) for i in range(8)]
-        return _read_rounds(self.code.n, rows)
+        return _read_tables(self.code.n, rows)
 
     @cached_property
     def _costs(self) -> bytes:
@@ -116,33 +120,34 @@ class EncodingMap:
         return bytes(w.bits.bit_count() for w in self.table).ljust(256, b"\0")
 
 
-_Rounds = tuple[tuple[tuple[int, int, bytes], ...], ...]
+_Sources = tuple[tuple[int, bytes], ...]
+_Tables = tuple[_Sources, ...]
 
 
-def _block_rounds(units: list[list[int]], size: int) -> _Rounds:
+def _block_tables(units: list[list[int]], size: int) -> _Tables:
     """The translate tables of a GF(2)-linear map from one block's bytes to
     another's, size bytes, 8 words of n bits filling n bytes MSB-first.
 
     ``units[i][u]`` is the output block, as an int, of input byte i holding
     just the bit 0x80 >> u. By linearity the table from input byte i to
     output byte o is the span of those 8 images' bytes o; all-zero tables
-    are left out. Round k holds each output byte's k-th (output byte, input
-    byte, table) triple.
+    are left out. Entry o holds output byte o's sources, its (input byte,
+    table) pairs in ascending input byte.
     """
-    outputs: dict[int, list[tuple[int, int, bytes]]] = {}
+    outputs: list[list[tuple[int, bytes]]] = [[] for _ in range(size)]
     for i, images in enumerate(units):
         for o, column in enumerate(zip(*(w.to_bytes(size, "big") for w in images))):
             if any(column):
-                outputs.setdefault(o, []).append((o, i, bytes(span_table(column))))
-    return tuple(tuple(filter(None, r)) for r in zip_longest(*outputs.values()))
+                outputs[o].append((i, bytes(span_table(column))))
+    return tuple(map(tuple, outputs))
 
 
-def _read_rounds(n: int, rows: Sequence[int]) -> _Rounds:
-    """Rounds from a block's n payload bytes to one byte per word w, whose
+def _read_tables(n: int, rows: Sequence[int]) -> _Tables:
+    """Tables from a block's n payload bytes to one byte per word w, whose
     bit i is the parity of w & rows[i]. Block bit q (MSB first) is word
     q // n's coordinate q % n, its bit n - 1 - q % n."""
     columns = [sum((h >> p & 1) << i for i, h in enumerate(rows)) for p in reversed(range(n))]
-    return _block_rounds([[columns[q % n] << 8 * (7 - q // n) for q in range(8 * j, 8 * j + 8)]
+    return _block_tables([[columns[q % n] << 8 * (7 - q // n) for q in range(8 * j, 8 * j + 8)]
                           for j in range(n)], 8)
 
 

@@ -184,6 +184,25 @@ class TestBlobFormat:
             with pytest.raises(CorruptBlobError):
                 EncodedBlob.from_bytes(data[:cut])
 
+    @pytest.mark.parametrize("layer", ["", "schicht/gewichte-é→"], ids=["empty", "non-ascii"])
+    def test_truncation_names_the_missing_field(self, layer):
+        # the header's fields in wire order, each with its width in bytes
+        fields = [("magic", 8), ("code_id length", 1), ("code_id", 4), ("header", 10),
+                  ("layer_id length", 2), ("layer_id", len(layer.encode()))]
+        expected = [f"truncated blob: missing {what}" for what, width in fields for _ in range(width)]
+        blob = self.blob(layer=layer)
+        data = blob.to_bytes()
+        assert len(data) == len(expected) + len(blob.payload)
+        for cut, message in enumerate(expected):
+            for head in (data[:cut], bytearray(data[:cut]), memoryview(data)[:cut]):
+                with pytest.raises(CorruptBlobError) as caught:
+                    EncodedBlob.from_bytes(head)
+                assert str(caught.value) == message, cut
+        # the whole header, no payload
+        with pytest.raises(CorruptBlobError) as caught:
+            EncodedBlob.from_bytes(data[: len(expected)])
+        assert str(caught.value) == f"payload must be {len(blob.payload)} bytes, got 0"
+
     @pytest.mark.parametrize("field,text", [("code_id", b"C7_3"), ("layer_id", b"conv1")])
     def test_non_utf8_id_is_corruption(self, field, text):
         data = bytearray(self.blob(layer="conv1/weight").to_bytes())
@@ -232,6 +251,21 @@ class TestBlobFormat:
         fields[field] = "x" * size
         with pytest.raises(ValueError, match=f"{field} too long"):
             EncodedBlob(**fields)
+
+    @pytest.mark.parametrize("field, top", [("code_id", 0xFF), ("layer_id", 0xFFFF)])
+    def test_id_length_is_counted_in_utf8_bytes(self, field, top):
+        # 4-byte characters: the limit falls at a quarter of the byte count
+        fields = dict(code_id="C7_3", bits=4, n=7, count=0, layer_id="", payload=b"")
+        for text, fits in (("\U0001F600" * (top // 4) + "abc", True),
+                           ("\U0001F600" * (top // 4 + 1), False), ("é" * (top // 2), True),
+                           ("é" * (top // 2) + "é", False), ("x" * top, True)):
+            fields[field] = text
+            if fits:
+                blob = EncodedBlob(**fields)
+                assert top - 1 <= len(getattr(blob, field).encode()) <= top and blob.to_bytes()
+            else:
+                with pytest.raises(ValueError, match=f"^{field} too long$"):
+                    EncodedBlob(**fields)
 
     def test_unregistered_code_id_is_corruption(self):
         # a custom map's blob verifies in memory but cannot be read back
@@ -516,16 +550,15 @@ class TestKeptScan:
         m = canonical_map("C12_3")
         blob = random_blob(m, 1000)
         blob = {"clean": blob, "sparse": flip_words(blob, [3, 999]), "dense": noise_blob(blob)}[kind]
-        calls, apply = [], blob_module._apply
-        monkeypatch.setattr(blob_module, "_apply",
-                            lambda r, *a: calls.append(r in m._checks) or apply(r, *a))
+        calls, scan = [], blob_module._scan
+        monkeypatch.setattr(blob_module, "_scan", lambda *a: calls.append(a[0]) or scan(*a))
         for first, second in ((verify_blob, decode_tensor), (decode_tensor, verify_blob)):
             fresh = dataclasses.replace(blob)
             for each in (m, EncodingMap(m.basis_images, "C12_3")):  # equal maps, two objects
                 calls.clear()
                 first(each, fresh)
                 second(each, fresh)
-                assert calls.count(True) == passes
+                assert calls == [each] * passes
 
 
 class TestOverhead:

@@ -199,8 +199,8 @@ def test_verify_and_decode_read_the_payload_once(monkeypatch, dirty):
         payload[5] ^= 1
         blob = with_payload(blob, payload)
     calls = []
-    read = blob_module._payload_bits
-    monkeypatch.setattr(blob_module, "_payload_bits", lambda *a: calls.append(a) or read(*a))
+    syndromes = blob_module._scan
+    monkeypatch.setattr(blob_module, "_scan", lambda *a: calls.append(a) or syndromes(*a))
     for scan in (verify_blob, decode_tensor):
         calls.clear()
         scan(m, with_payload(blob, blob.payload))  # a fresh blob keeps no result
