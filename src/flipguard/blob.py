@@ -40,13 +40,13 @@ verdicts. Fewer than count / ``_SPARSE`` flagged words are found in each
 dirty slot's syndromes with ``bytes.find``, which skips clean stretches in
 C, and merged; more are picked by ``compress`` out of one shared tuple of
 word indices, ``_INDEX`` (about 40 B kept per word of the largest densely
-flagged blob seen). So the readout makes no int per clean word. A sparse
-dirty result stays on the blob for the map that found it, so verify then
-decode of a lightly flipped blob scans once; a clean or dense one is
-computed afresh from the payload bytes on every call, so a flip that lands
-between verify and decode of a clean blob is still caught. Decoding is
-detection-only. A slice that is not a codeword is reported, never silently
-corrected, and no values are returned for a dirty blob.
+flagged blob seen). So the readout makes no int per clean word. A dirty
+result stays on the blob for the map that found it, so verify then decode
+of a corrupt blob scans once; a clean one is computed afresh from the
+payload bytes on every call, so a flip that lands between verify and
+decode of a clean blob is still caught. Decoding is detection-only. A
+slice that is not a codeword is reported, never silently corrected, and no
+values are returned for a dirty blob.
 """
 from __future__ import annotations
 
@@ -167,7 +167,7 @@ class EncodedBlob:
     layer_id: str
     payload: bytes
 
-    _flags = None  # not a field: ``_flagged`` keeps a sparse dirty result here
+    _flags = None  # not a field: ``_flagged`` keeps a dirty result here
 
     def __post_init__(self) -> None:
         if not (type(self.code_id) is type(self.layer_id) is str
@@ -345,15 +345,11 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
     ascending order; more are picked by ``compress`` out of all slots'
     syndromes interleaved into one buffer, one byte per word.
 
-    A sparse dirty result, 1 to count / ``_SPARSE`` - 1 indices, is kept on
-    the blob as ``_flags``, (m, indices), for as long as the blob lives, and
-    a later call with the same map object returns it with no lanes and no
-    scan. It holds a reference to the map, and ``copy.copy`` and ``pickle``
-    carry both along. Such a blob is already known dirty, and a dirty result
-    lets no values out, so a flip that lands after the scan cannot reach a
-    caller. A clean result is not kept: every decode of a clean blob checks
-    its payload again before returning values. Neither is a dense result,
-    O(count) ints that would live as long as the blob.
+    A dirty result is kept on the blob as ``_flags``, (m, indices), and a
+    later call with the same map object returns it with no lanes and no
+    scan; ``copy.copy`` and ``pickle`` carry it along. A dirty result lets
+    no values out, so a flip that lands after the scan cannot reach a
+    caller. A clean result is never kept: a clean decode checks every word.
     """
     if (blob.code_id, blob.bits, blob.n) != (m.code_id, m.b, m.code.n):
         raise ValueError(
@@ -377,15 +373,16 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
             for o, lane in dirty.items():
                 sb[o::8] = lane
             # compress steps a bytes object about 8% faster than a bytearray
-            return lanes, tuple(compress(_indices(count), bytes(sb)))
-    found = []
-    for o, syndromes in dirty.items():
-        nz, k = syndromes.translate(_NONZERO), -1
-        found += [8 * (k := nz.find(1, k + 1)) + o for _ in range(size - syndromes.count(0))]
-    found.sort()
-    kept = (m, tuple(found))
-    object.__setattr__(blob, "_flags", kept)
-    return lanes, kept[1]
+            found = tuple(compress(_indices(count), bytes(sb)))
+            break
+    else:
+        found = []
+        for o, syndromes in dirty.items():
+            nz, k = syndromes.translate(_NONZERO), -1
+            found += [8 * (k := nz.find(1, k + 1)) + o for _ in range(size - syndromes.count(0))]
+        found = tuple(sorted(found))
+    object.__setattr__(blob, "_flags", (m, found))
+    return lanes, found
 
 
 def verify_blob(m: EncodingMap, blob: EncodedBlob) -> VerifyReport:

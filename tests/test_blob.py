@@ -79,6 +79,22 @@ class TestPacking:
         with pytest.raises(CorruptBlobError):
             unpack_words(b"\xff", 7, 1)
 
+    @pytest.mark.parametrize("n, count, size, message", [
+        (7, 2, 1, "payload truncated: 1 bytes, need 2"),
+        (7, 2, 0, "payload truncated: 0 bytes, need 2"),
+        (7, 2, 3, "payload has 1 trailing bytes"),
+        (7, 2, 5, "payload has 3 trailing bytes"),
+        (7, 1, 1, "nonzero padding bits"),
+        (13, 3, 3, "payload truncated: 3 bytes, need 5"),
+        (13, 3, 9, "payload has 4 trailing bytes"),
+        (13, 3, 5, "nonzero padding bits"),
+    ])
+    def test_payload_faults_are_named_exactly(self, n, count, size, message):
+        # all-ones bytes: a payload of the right length then fails on its padding
+        with pytest.raises(CorruptBlobError) as info:
+            unpack_words(b"\xff" * size, n, count)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("word", [0xFF, 0x80, -1, 1 << 20])
     def test_word_wider_than_n_is_rejected(self, word):
         with pytest.raises(ValueError, match="does not fit in 7 bits"):
@@ -432,7 +448,7 @@ class TestReadout:
         blob = flip_words(random_blob(m, count), flagged)
         assert len(flagged) == k and has_clean_run(flagged, count)
         assert verify_blob(m, blob).corrupted_indices == flagged == brute_force_flagged(m, blob)
-        assert (blob._flags is not None) == (k * 64 < count)
+        assert blob._flags == (m, flagged)  # kept on both sides of the cutoff
 
     @pytest.mark.parametrize("count, stride", [(4096, 32), (4100, 31), (80, 27), (20, 7), (1, 1)])
     def test_no_clean_run_is_dense(self, count, stride):
@@ -443,7 +459,7 @@ class TestReadout:
         assert not has_clean_run(flagged, count)
         assert len(flagged) * 64 >= count
         assert verify_blob(m, blob).corrupted_indices == flagged == brute_force_flagged(m, blob)
-        assert blob._flags is None
+        assert blob._flags == (m, flagged)
 
     def test_random_payload(self):
         m = canonical_map("C7_3")
@@ -452,8 +468,8 @@ class TestReadout:
 
 
 class TestKeptScan:
-    """A sparse dirty scan result stays on the blob for its map object; a
-    clean or dense one is scanned afresh on every call."""
+    """A dirty scan result stays on the blob for its map object; a clean one
+    is scanned afresh on every call."""
 
     def test_keyed_on_the_map_object(self):
         hamming = EncodingMap(canonical_map("C7_3").basis_images)  # both "custom", n=7, b=4
@@ -523,6 +539,30 @@ class TestKeptScan:
         assert decode_tensor(m, dirty) == report == verify_blob(m, dirty)
         assert verify_blob(m, dataclasses.replace(dirty)).clean
 
+    def test_a_kept_dense_result_lets_no_values_out(self):
+        # the same over a random payload, nearly every word flagged
+        m = canonical_map("C9_4")
+        blob = random_blob(m, 200)
+        dirty = noise_blob(blob)
+        report = verify_blob(m, dirty)
+        assert len(report.corrupted_indices) * 64 >= dirty.count
+        object.__setattr__(dirty, "payload", blob.payload)
+        assert decode_tensor(m, dirty) == report == verify_blob(m, dirty)
+        assert verify_blob(m, dataclasses.replace(dirty)).clean
+
+    @pytest.mark.parametrize("code_id", CODE_IDS)
+    def test_the_kept_indices_are_the_reports(self, code_id):
+        # the blob holds the report's own tuple, so it costs a caller that
+        # keeps the report nothing more; a clean blob holds nothing
+        m = canonical_map(code_id)
+        clean = random_blob(m, 1000)
+        for dirty in (flip_words(clean, [3, 999]), noise_blob(clean)):
+            report = verify_blob(m, dirty)
+            assert report.corrupted_indices is dirty._flags[1] and dirty._flags[0] is m
+            again = decode_tensor(m, dirty)
+            assert again == report and again.corrupted_indices is report.corrupted_indices
+        assert verify_blob(m, clean).clean and decode_tensor(m, clean) and clean._flags is None
+
     @pytest.mark.parametrize("code_id", CODE_IDS)
     def test_either_order_matches_cold_calls(self, code_id):
         m = canonical_map(code_id)
@@ -545,7 +585,7 @@ class TestKeptScan:
         assert decode_tensor(m, dataclasses.replace(noise)) == cold
         assert (verify_blob(m, noise), decode_tensor(m, noise), verify_blob(m, noise)) == (cold,) * 3
 
-    @pytest.mark.parametrize("kind, passes", [("clean", 2), ("sparse", 1), ("dense", 2)])
+    @pytest.mark.parametrize("kind, passes", [("clean", 2), ("sparse", 1), ("dense", 1)])
     def test_syndrome_passes_per_blob_and_map(self, monkeypatch, kind, passes):
         m = canonical_map("C12_3")
         blob = random_blob(m, 1000)

@@ -79,7 +79,7 @@ def test_one_dirty_slot_flags_its_word(code):
                     dirty = flip_bits(clean, [i * n + j])
                     report = verify_blob(m, dirty)
                     assert report == VerifyReport((i,), count)
-                    assert (dirty._flags is not None) == (count == 131)  # kept only if sparse
+                    assert dirty._flags == (m, (i,))  # kept, dense or sparse
                     assert decode_tensor(m, flip_bits(clean, [i * n + j])) == report
             # two slots at once, the higher index in the lower slot: the
             # readout merges them in ascending order

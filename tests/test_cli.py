@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -407,6 +408,19 @@ class TestBench:
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run(capsys, )[0] == 1
+
+    def test_in_process_calls_leave_no_cyclic_garbage(self, capsys):
+        # argparse's exclusive groups point back at their parser, so a parser
+        # built per call would leave a reference cycle behind every time
+        run(capsys, "overhead", "--code", "C7_3")
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in (["overhead"], ["codebook", "--code", "C9_4"], ["distances", "--bits", "4"]):
+                run(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -206,7 +206,7 @@ def test_verify_and_decode_read_the_payload_once(monkeypatch, dirty):
         scan(m, with_payload(blob, blob.payload))  # a fresh blob keeps no result
         assert len(calls) == 1
     # decode after verify reads a clean blob again, to check it before
-    # returning values, and a sparse dirty one not at all: its report is kept
+    # returning values, and a dirty one not at all: its report is kept
     verify_blob(m, blob)
     calls.clear()
     decode_tensor(m, blob)
