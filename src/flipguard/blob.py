@@ -14,12 +14,12 @@ The payload is the codewords packed back to back, MSB-first: coordinate 1
 of the first codeword sits in the most significant bit of payload byte 0,
 and unused trailing bits of the last byte are zero.
 
-The constructor rejects any field of another type than its annotation
-(``TypeError``) or that the wire format cannot hold, so `to_bytes` cannot
-fail. `from_bytes` reads only blobs of registered codes: anything else, a
-parseable header with an unknown code id or a shape not the code's
-included, is `CorruptBlobError`. A custom map's blob verifies only in
-memory.
+The constructor checks the fields in order and rejects the first of
+another type than its annotation (``TypeError``) or that the wire format
+cannot hold, so `to_bytes` cannot fail. `from_bytes` reads only blobs of
+registered codes: anything else, a parseable header with an unknown code
+id or a shape not the code's included, is `CorruptBlobError`. A custom
+map's blob verifies only in memory.
 
 Encode, verify and decode run on byte-block tables. 8 words of n bits fill
 exactly n payload bytes, a block. A GF(2)-linear map from one block's
@@ -143,6 +143,7 @@ def unpack_words(payload: bytes, n: int, count: int) -> list[int]:
     return [int(w, 2) for (w,) in struct.iter_unpack(f"{n}s", bits[: count * n])]
 
 
+# The header after the magic, packed by `to_bytes` and unpacked by `from_bytes`:
 _BYTE = struct.Struct(">B")  # the code_id length
 _HEAD = struct.Struct(">BBQH")  # bits, n, count and the layer_id length
 
@@ -170,20 +171,11 @@ class EncodedBlob:
     _flags = None  # not a field: ``_flagged`` keeps a dirty result here
 
     def __post_init__(self) -> None:
-        if not (type(self.code_id) is type(self.layer_id) is str
-                and type(self.bits) is type(self.n) is type(self.count) is int
-                and type(self.payload) is bytes
-                and 0 <= self.bits <= 0xFF and 0 <= self.n <= 0xFF and 0 <= self.count < 1 << 64
-                and len(self.payload) == (self.count * self.n + 7) // 8
-                # a character is at most 4 UTF-8 bytes
-                and len(self.code_id) <= 0xFF // 4 and len(self.layer_id) <= 0xFFFF // 4):
-            self._check_fields()
-
-    def _check_fields(self) -> None:
-        """The constructor's checks in order: the first field that fails
-        raises, and a payload of another buffer type is copied to bytes."""
-        for name in ("code_id", "bits", "n", "count", "layer_id"):
-            value, kind = getattr(self, name), str if name.endswith("_id") else int
+        """The fields in order: the first that fails raises, and a payload
+        of another buffer type is copied to bytes."""
+        for name, value, kind in (("code_id", self.code_id, str), ("bits", self.bits, int),
+                                  ("n", self.n, int), ("count", self.count, int),
+                                  ("layer_id", self.layer_id, str)):
             if type(value) is not kind:  # a bool or a float would pass the range checks
                 raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
         if type(self.payload) is not bytes:  # a mutable buffer could change once verified;
@@ -196,18 +188,16 @@ class EncodedBlob:
         need = (self.count * self.n + 7) // 8
         if len(self.payload) != need:
             raise ValueError(f"payload must be {need} bytes, got {len(self.payload)}")
-        if len(self.code_id.encode()) > 0xFF:
-            raise ValueError("code_id too long")
-        if len(self.layer_id.encode()) > 0xFFFF:
-            raise ValueError("layer_id too long")
+        for name, value, top in (("code_id", self.code_id, 0xFF),
+                                 ("layer_id", self.layer_id, 0xFFFF)):
+            # a character is at most 4 UTF-8 bytes, so only a long id is encoded
+            if len(value) > top // 4 and len(value.encode()) > top:
+                raise ValueError(f"{name} too long")
 
     def to_bytes(self) -> bytes:
-        cid = self.code_id.encode()
-        lid = self.layer_id.encode()
-        head = MAGIC + struct.pack(">B", len(cid)) + cid
-        head += struct.pack(">BBQ", self.bits, self.n, self.count)
-        head += struct.pack(">H", len(lid)) + lid
-        return head + self.payload
+        cid, lid = self.code_id.encode(), self.layer_id.encode()
+        return b"".join((MAGIC, _BYTE.pack(len(cid)), cid,
+                         _HEAD.pack(self.bits, self.n, self.count, len(lid)), lid, self.payload))
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray | memoryview) -> "EncodedBlob":

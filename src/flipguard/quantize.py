@@ -7,7 +7,6 @@ from dataclasses import dataclass
 __all__ = [
     "QuantConfig",
     "quantize",
-    "signed_value",
     "value_range",
 ]
 
@@ -60,11 +59,3 @@ def quantize(omega: float, cfg: QuantConfig) -> int:
     except OverflowError:  # omega / delta overflowed to +-inf
         v = half if omega > 0 else -half
     return -half if v < -half else half - 1 if v >= half else v
-
-
-def signed_value(pattern: int, b: int) -> int:
-    """The signed value of a b-bit two's-complement pattern int."""
-    half = -value_range(b)[0]
-    if not 0 <= pattern < 2 * half:
-        raise ValueError(f"pattern {pattern:#x} does not fit in {b} bits")
-    return pattern - 2 * half if pattern >= half else pattern

@@ -85,10 +85,12 @@ class AttackTrace:
     each change has four fields: a str layer, int (not bool) index, old and
     new, a nonnegative index, old != new, and both values in range. Parsed
     and built traces alike are checked here, meta first, then the changes in
-    order; the first fault raises, with the message ``parse_trace`` gives for
-    the same JSON. ``changes`` is stored as a tuple, so what was checked
-    cannot change afterwards, and the check leaves ``_patterns``, one flip
-    pattern byte per change, for ``cost_of_trace`` to price."""
+    order, each one whole; the first fault raises. ``parse_trace`` checks the
+    shape of the whole document first, so its order differs in one case: a
+    type fault in a later change wins there over a value fault in an earlier
+    one, which a built trace raises first. ``changes`` is stored as a tuple,
+    so what was checked cannot change afterwards, and the check leaves
+    ``_patterns``, one flip pattern byte per change, for ``cost_of_trace``."""
 
     meta: TraceMeta
     changes: tuple[WeightChange, ...]

@@ -2,8 +2,20 @@
 
 The matrices are 16x16 pairwise bit-flip costs with rows and columns
 ordered by signed value -8..7; diagonals are 0. They were transcribed
-independently of the code under test.
+independently of the code under test. ``signed_value`` reads a
+two's-complement pattern back as its value, for the tests that check
+patterns against values.
 """
+from flipguard.quantize import value_range
+
+
+def signed_value(pattern: int, b: int) -> int:
+    """The signed value of a b-bit two's-complement pattern int."""
+    half = -value_range(b)[0]
+    if not 0 <= pattern < 2 * half:
+        raise ValueError(f"pattern {pattern:#x} does not fit in {b} bits")
+    return pattern - 2 * half if pattern >= half else pattern
+
 
 # The 7-bit code as an unordered codeword set.
 HAMMING7_WORDS = {

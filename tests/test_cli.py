@@ -187,6 +187,23 @@ class TestEncodeVerifyDecode:
             codes.append(run(capsys, "verify", "--in", str(damaged))[0])
         assert codes == [2] * 200
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="56 of 264 header flips, all of them layer-id flips, exit 0 "
+                              "(CHANGES FOUND line 3, ROADMAP item 1)")
+    def test_every_header_flip_exits_2(self, capsys, tmp_path):
+        # the layer id included: a flip that leaves it valid UTF-8 reads clean
+        raw = self.encode_layer(capsys, tmp_path)
+        head = raw.index(b"C7_3.r10") + len(b"C7_3.r10")  # magic .. layer_id
+        assert head == 33
+        damaged = tmp_path / "damaged.bin"
+        codes = []
+        for bit in range(8 * head):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            damaged.write_bytes(flipped)
+            codes.append(run(capsys, "verify", "--in", str(damaged))[0])
+        assert codes == [2] * 264
+
     @pytest.mark.parametrize("code_id", ["C7_3", "C8_4", "C9_4", "C12_3", "C13_4", "C14_4"])
     def test_every_single_bit_flip_exits_2(self, capsys, tmp_path, code_id):
         # empty layer id: every bit of header and payload is covered

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flipguard.encoding import twos_complement_matrix
-from flipguard.quantize import QuantConfig, quantize, signed_value, value_range
+from flipguard.quantize import QuantConfig, quantize, value_range
+
+from reference_tables import signed_value
 
 # value -> 4-bit two's-complement pattern
 FOUR_BIT_PATTERNS = {

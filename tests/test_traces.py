@@ -20,7 +20,7 @@ from flipguard.encoding import (
     distance_matrix,
     twos_complement_matrix,
 )
-from flipguard.quantize import signed_value, value_range
+from flipguard.quantize import value_range
 from flipguard.traces import (
     AttackTrace,
     CostStats,
@@ -39,6 +39,8 @@ from flipguard.traces import (
     trace_stats,
     trace_to_json,
 )
+
+from reference_tables import signed_value
 
 FIXTURE = Path(__file__).parent / "data" / "msb_attack_example.json"
 
@@ -744,6 +746,18 @@ class TestParseDifferential:
     def test_fixed_documents(self, doc):
         text = json.dumps(doc)
         assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse, text)
+
+    def test_a_built_trace_raises_the_first_bad_change(self):
+        # the first fixed document, built: with no shape pass, change 0's
+        # value fault comes before change 1's type fault
+        changes = [{**GOOD_CHANGE, "old": 9}, {**GOOD_CHANGE, "index": "1"}]
+        doc = {"meta": {"method": "m", "b": 4, "model": "x", "dataset": "d"}, "changes": changes}
+        assert parse_outcome(parse_trace, json.dumps(doc)) == (
+            "error", "changes[1].index: expected int, got str")
+        with pytest.raises(ValueError) as info:
+            AttackTrace(TraceMeta("m", 4, "x", "d"), [WeightChange(**c) for c in changes])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "changes[0].old: expected integer in [-8, 7], got 9"
 
     @given(TRACE_DOCS)
     def test_mixed_faults(self, doc):
