@@ -16,10 +16,11 @@ and unused trailing bits of the last byte are zero.
 
 The constructor checks the fields in order and rejects the first of
 another type than its annotation (``TypeError``) or that the wire format
-cannot hold, so `to_bytes` cannot fail. `from_bytes` reads only blobs of
-registered codes: anything else, a parseable header with an unknown code
-id or a shape not the code's included, is `CorruptBlobError`. A custom
-map's blob verifies only in memory.
+cannot hold, an id too long or not valid UTF-8 among them, so `to_bytes`
+cannot fail. `from_bytes` reads only blobs of registered codes: anything
+else, a parseable header with an unknown code id or a shape not the
+code's included, is `CorruptBlobError`. A custom map's blob verifies only
+in memory.
 
 Encode, verify and decode run on byte-block tables. 8 words of n bits fill
 exactly n payload bytes, a block. A GF(2)-linear map from one block's
@@ -190,8 +191,11 @@ class EncodedBlob:
             raise ValueError(f"payload must be {need} bytes, got {len(self.payload)}")
         for name, value, top in (("code_id", self.code_id, 0xFF),
                                  ("layer_id", self.layer_id, 0xFFFF)):
-            # a character is at most 4 UTF-8 bytes, so only a long id is encoded
-            if len(value) > top // 4 and len(value.encode()) > top:
+            try:  # an ASCII id is as many bytes as characters
+                size = len(value) if value.isascii() else len(value.encode())
+            except UnicodeEncodeError:  # a lone surrogate
+                raise ValueError(f"{name} is not valid UTF-8") from None
+            if size > top:
                 raise ValueError(f"{name} too long")
 
     def to_bytes(self) -> bytes:

@@ -85,23 +85,23 @@ class AttackTrace:
     each change has four fields: a str layer, int (not bool) index, old and
     new, a nonnegative index, old != new, and both values in range. Parsed
     and built traces alike are checked here, meta first, then the changes in
-    order, each one whole; the first fault raises. ``parse_trace`` checks the
-    shape of the whole document first, so its order differs in one case: a
-    type fault in a later change wins there over a value fault in an earlier
-    one, which a built trace raises first. ``changes`` is stored as a tuple,
-    so what was checked cannot change afterwards, and the check leaves
-    ``_patterns``, one flip pattern byte per change, for ``cost_of_trace``."""
+    one ordered pass that checks each one whole; the first fault raises.
+    ``parse_trace`` checks the shape of the whole document first, so its
+    order differs in one case: a type fault in a later change wins there
+    over a value fault in an earlier one, which a built trace raises first.
+    The pass stores each change as a ``WeightChange`` (a tuple of them is
+    kept as is) in a tuple, so what was checked cannot change afterwards,
+    and leaves ``_patterns``, one flip pattern byte per change, for
+    ``cost_of_trace``."""
 
     meta: TraceMeta
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
         changes = tuple(self.changes)  # a tuple is returned as is
-        object.__setattr__(self, "changes", changes)
         if type(self.meta) is not TraceMeta:
             raise ValueError(f"meta: expected TraceMeta, got {type(self.meta).__name__}")
-        for field, v in zip(TraceMeta._fields, self.meta):
-            kind = int if field == "b" else str
+        for field, v, kind in zip(TraceMeta._fields, self.meta, (str, int, str, str)):
             if type(v) is not kind:
                 raise ValueError(f"meta.{field}: expected {kind.__name__}, got {type(v).__name__}")
         try:
@@ -109,50 +109,42 @@ class AttackTrace:
         except ValueError as e:
             raise ValueError(f"meta.b: {e}") from None
         mask = (1 << self.meta.b) - 1
-        # One pass checks every change and keeps its flip pattern. Both values
-        # in range, old == new exactly when the pattern is 0. A change the pass
-        # drops or cannot unpack sends the trace through the ordered check,
-        # which names the first fault.
-        try:
-            patterns = bytes([(old ^ new) & mask for layer, index, old, new in changes
-                              if type(layer) is str and type(index) is type(old) is type(new) is int
-                              and index >= 0 and lo <= old <= hi and lo <= new <= hi])
-        except (TypeError, ValueError):
-            patterns = b""
-        if len(patterns) != len(changes) or 0 in patterns:
-            _check_changes(changes, lo, hi)
-            # the pass may refuse what the ordered check lets through, never less
-            patterns = bytes([(old ^ new) & mask for _, _, old, new in changes])
-        object.__setattr__(self, "_patterns", patterns)
+        # One ordered pass: each change is unpacked, checked whole, stored as
+        # a record and its flip pattern kept; the first fault raises. Every
+        # change before it kept one pattern, so len(patterns) is its position
+        records, patterns, kept = list(changes), bytearray(), changes  # a tuple of records is kept
+        keep = patterns.append
+        for change in changes:
+            if type(change) is not WeightChange:  # a list, or any other iterable
+                i = len(patterns)
+                try:
+                    records[i] = change = tuple.__new__(WeightChange, change)
+                except TypeError:
+                    raise ValueError(f"changes[{i}]: {_FIELDS}, "
+                                     f"got {type(change).__name__}") from None
+                kept = None
+            if len(change) != 4:
+                raise ValueError(f"changes[{len(patterns)}]: {_FIELDS}, got {len(change)}")
+            layer, index, old, new = change
+            if not (type(layer) is str and type(index) is type(old) is type(new) is int
+                    and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
+                i = len(patterns)
+                for field, v, kind in zip(WeightChange._fields, change, (str, int, int, int)):
+                    if type(v) is not kind:
+                        raise ValueError(f"changes[{i}].{field}: expected {kind.__name__}, "
+                                         f"got {type(v).__name__}")
+                if index < 0:
+                    raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
+                if old == new:
+                    raise ValueError(f"changes[{i}]: old and new are both {old}")
+                side, v = ("new", new) if lo <= old <= hi else ("old", old)
+                raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
+            keep((old ^ new) & mask)
+        object.__setattr__(self, "changes", tuple(records) if kept is None else kept)
+        object.__setattr__(self, "_patterns", bytes(patterns))
 
 
-_FIELDS = "4 fields (layer, index, old, new)"
-
-
-def _check_changes(changes: tuple, lo: int, hi: int) -> None:
-    """Check the changes in order; the first fault raises, with its path."""
-    for i, change in enumerate(changes):
-        try:
-            fields = tuple(change)
-        except TypeError:
-            raise ValueError(f"changes[{i}]: expected {_FIELDS}, got {type(change).__name__}") from None
-        if len(fields) != 4:
-            raise ValueError(f"changes[{i}]: expected {_FIELDS}, got {len(fields)}")
-        layer, index, old, new = fields
-        if (type(layer) is str and type(index) is type(old) is type(new) is int
-                and index >= 0 and old != new and lo <= old <= hi and lo <= new <= hi):
-            continue
-        if type(layer) is not str:
-            raise ValueError(f"changes[{i}].layer: expected str, got {type(layer).__name__}")
-        for field, v in (("index", index), ("old", old), ("new", new)):
-            if type(v) is not int:
-                raise ValueError(f"changes[{i}].{field}: expected int, got {type(v).__name__}")
-        if index < 0:
-            raise ValueError(f"changes[{i}]: index must be nonnegative, got {index}")
-        if old == new:
-            raise ValueError(f"changes[{i}]: old and new are both {old}")
-        side, v = ("new", new) if lo <= old <= hi else ("old", old)
-        raise ValueError(f"changes[{i}].{side}: expected integer in [{lo}, {hi}], got {v}")
+_FIELDS = "expected 4 fields (layer, index, old, new)"
 
 
 def _want(obj: Mapping, key: str, kind: type, where: str):

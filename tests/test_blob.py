@@ -283,6 +283,18 @@ class TestBlobFormat:
                 with pytest.raises(ValueError, match=f"^{field} too long$"):
                     EncodedBlob(**fields)
 
+    @pytest.mark.parametrize("field", ["code_id", "layer_id"])
+    def test_id_utf8_cannot_encode_is_refused(self, field):
+        # a lone surrogate would construct, and then to_bytes would raise
+        fields = dict(code_id="C7_3", bits=4, n=7, count=0, layer_id="", payload=b"")
+        for text in ("\ud800", "a\udcffb", "é\udfff", "\ud800" + "x" * 0x10000):
+            fields[field] = text
+            with pytest.raises(ValueError, match=f"^{field} is not valid UTF-8$"):
+                EncodedBlob(**fields)
+        # the fields in order: code_id is checked before layer_id
+        with pytest.raises(ValueError, match="^code_id is not valid UTF-8$"):
+            EncodedBlob("\ud800", 4, 7, 0, "x" * 0x10000, b"")
+
     def test_unregistered_code_id_is_corruption(self):
         # a custom map's blob verifies in memory but cannot be read back
         m = canonical_map("C7_3")

@@ -160,6 +160,19 @@ class TestEncodeVerifyDecode:
         assert code == 1 and out == ""
         assert f"error: {src}: not valid UTF-8" in err
 
+    def test_non_utf8_layer_id_is_refused(self, tmp_path):
+        # the byte 0xff reaches sys.argv as a lone surrogate, which UTF-8 cannot encode
+        src, dest = tmp_path / "values.txt", tmp_path / "x.bin"
+        src.write_text("1 2 3")
+        proc = subprocess.run(
+            [sys.executable, "-m", "flipguard", "encode", "--code", "C7_3",
+             "--layer", b"a\xffb", "--in", str(src), "--out", str(dest)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: layer_id is not valid UTF-8\n"
+        assert not dest.exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "decode", "--in", str(tmp_path / "absent.bin"))
         assert code == 1

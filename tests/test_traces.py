@@ -544,7 +544,11 @@ class TestChangeValidation:
         ([None, ("l", 0, 9, 0)],
          "changes[0]: expected 4 fields (layer, index, old, new), got NoneType"),
         ([("l", -1, 1, 2), 7], "changes[0]: index must be nonnegative, got -1"),
-    ], ids=["value-then-short", "short", "long", "empty", "int", "None-first", "index-then-int"])
+        # a one-shot iterator is read once, so the fault named is the next change's
+        ([iter(("l", 0, 1, 2)), ("l", 1, 1, 9)],
+         "changes[1].new: expected integer in [-8, 7], got 9"),
+    ], ids=["value-then-short", "short", "long", "empty", "int", "None-first", "index-then-int",
+            "iterator-then-range"])
     def test_malformed_records_rejected_in_order(self, changes, message):
         with pytest.raises(ValueError) as info:
             AttackTrace(TraceMeta("m", 4, "x", "d"), changes)
@@ -568,6 +572,16 @@ class TestChangeValidation:
             trace.changes.append(WeightChange("l", 1, -1, 9))
         assert cost_of_trace(trace) == 2
         assert AttackTrace(meta, trace.changes).changes is trace.changes
+
+    def test_list_changes_are_stored_as_records(self):
+        meta = TraceMeta("m", 4, "x", "d")
+        given_change = ["l", 0, 1, 2]
+        trace = AttackTrace(meta, [given_change, iter(("l", 1, -8, 7))])
+        given_change[3] = 99  # the check saw 2, and the trace keeps 2
+        assert trace.changes == (WeightChange("l", 0, 1, 2), WeightChange("l", 1, -8, 7))
+        assert [type(c) for c in trace.changes] == [WeightChange, WeightChange]
+        assert parse_trace(trace_to_json(trace)) == trace
+        assert cost_of_trace(trace) == 2 + 4
 
     @pytest.mark.parametrize("change, message", [
         (("l", 0, 1.0, 2), "changes[0].old: expected int, got float"),
@@ -848,7 +862,12 @@ def check_build(meta, changes):
             return build(meta, changes)
         except Exception as e:
             return type(e), str(e)
-    assert outcome(lambda m, c: AttackTrace(m, c)._patterns) == outcome(reference_check)
+    def built(m, c):
+        trace = AttackTrace(m, c)
+        assert all(type(change) is WeightChange for change in trace.changes)
+        return trace._patterns, trace.changes
+    # a change is stored as the record of its four fields
+    assert outcome(built) == outcome(lambda m, c: (reference_check(m, c), tuple(map(tuple, c))))
 
 
 class TestBuildDifferential:
@@ -880,8 +899,9 @@ class TestCachedPatterns:
         maps = [None, *(canonical_map(c) for c in CODE_IDS if code_shape(c)[0] == b)]
         costs = [cost_of_trace(trace, m) for m in maps]
         fresh = AttackTrace(trace.meta, list(trace.changes))
+        listed = AttackTrace(trace.meta, [list(c) for c in trace.changes])
         for twin in (pickle.loads(pickle.dumps(trace)), copy.copy(trace),
-                     copy.deepcopy(trace), dataclasses.replace(trace), fresh):
+                     copy.deepcopy(trace), dataclasses.replace(trace), fresh, listed):
             assert twin == trace == fresh
             assert hash(twin) == hash(trace) == hash(fresh)
             assert repr(twin) == repr(fresh)
