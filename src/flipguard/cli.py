@@ -67,20 +67,21 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _grid(rows, fmt: str, widths, sep: str) -> list[str]:
+    """One line per row: its cells joined by commas for CSV, otherwise each
+    right-aligned to its column's width and joined by ``sep``."""
+    if fmt == "csv":
+        return [",".join(str(x) for x in row) for row in rows]
+    return [sep.join(str(x).rjust(w) for x, w in zip(row, widths)) for row in rows]
+
+
 def _matrix_lines(b: int, rows, fmt: str) -> list[str]:
     """A square matrix whose rows and columns are the signed b-bit values."""
     half = 1 << (b - 1)
     labels = [str(v) for v in range(-half, half)]
-    if fmt == "csv":
-        lines = ["," + ",".join(labels)]
-        for lab, row in zip(labels, rows):
-            lines.append(lab + "," + ",".join(str(x) for x in row))
-        return lines
     width = max(len(lab) for lab in labels) + 1
-    lines = [" " * width + "".join(f"{lab:>{width}}" for lab in labels)]
-    for lab, row in zip(labels, rows):
-        lines.append(f"{lab:>{width}}" + "".join(f"{x:>{width}}" for x in row))
-    return lines
+    grid = [["", *labels], *([lab, *row] for lab, row in zip(labels, rows))]
+    return _grid(grid, fmt, [width] * (len(labels) + 1), "")
 
 
 def _read_ints(path: str) -> list[int]:
@@ -191,8 +192,8 @@ def cmd_analyze_trace(args) -> int:
         if out["unprotected"]["avg"]:
             out["amplification"] = out["protected"]["avg"] / out["unprotected"]["avg"]
     if args.pair_freq:  # before the result, so a failed write prints none
-        lines = _matrix_lines(b, pair_frequency(traces), "csv")
-        Path(args.pair_freq).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _emit("\n".join(_matrix_lines(b, pair_frequency(traces), "csv")) + "\n",
+              args.pair_freq)
         _say(f"pair frequencies written to {args.pair_freq}")
     print(json.dumps(out, sort_keys=True, indent=2))
     _say(f"analyzed {len(traces)} trace(s), {out['changes']} changes")
@@ -215,23 +216,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_overhead(args) -> int:
     ids = [args.code] if args.code else list(CODE_IDS)
-    rows = []
+    rows = [("code", "b", "n", "overhead_percent", "bits_per_weight")]
     for cid in ids:
         b, n = code_shape(cid)
         rep = overhead_report(cid, b)
         rows.append((cid, b, n, f"{float(rep.memory_overhead_percent):g}",
                      rep.bits_per_weight))
-    header = ("code", "b", "n", "overhead_percent", "bits_per_weight")
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(x) for x in row) for row in rows]
-    else:
-        widths = [max(len(str(x)) for x in [h, *col])
-                  for h, col in zip(header, zip(*rows))]
-        def fmt(row):
-            return "  ".join(f"{str(x):>{w}}" for x, w in zip(row, widths))
-        lines = [fmt(header)] + [fmt(row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    widths = [max(len(str(x)) for x in col) for col in zip(*rows)]
+    _emit("\n".join(_grid(rows, args.format, widths, "  ")) + "\n", args.out)
     return 0
 
 

@@ -81,11 +81,12 @@ class WeightChange(NamedTuple):
 @dataclass(frozen=True)
 class AttackTrace:
     """A trace whose values obey the rules: ``meta`` is a TraceMeta with str
-    method, model and dataset and an int ``b`` that is a supported width, and
-    each change has four fields: a str layer, int (not bool) index, old and
-    new, a nonnegative index, old != new, and both values in range. Parsed
-    and built traces alike are checked here, meta first, then the changes in
-    one ordered pass that checks each one whole; the first fault raises.
+    method, model and dataset and an int ``b`` that is a supported width,
+    ``changes`` is iterable, and each change has four fields: a str layer,
+    int (not bool) index, old and new, a nonnegative index, old != new, and
+    both values in range. Parsed and built traces alike are checked here, in
+    that order, the changes in one ordered pass that checks each one whole;
+    the first fault raises.
     ``parse_trace`` checks the shape of the whole document first, so its
     order differs in one case: a type fault in a later change wins there
     over a value fault in an earlier one, which a built trace raises first.
@@ -98,7 +99,6 @@ class AttackTrace:
     changes: tuple[WeightChange, ...]
 
     def __post_init__(self) -> None:
-        changes = tuple(self.changes)  # a tuple is returned as is
         if type(self.meta) is not TraceMeta:
             raise ValueError(f"meta: expected TraceMeta, got {type(self.meta).__name__}")
         for field, v, kind in zip(TraceMeta._fields, self.meta, (str, int, str, str)):
@@ -108,6 +108,12 @@ class AttackTrace:
             lo, hi = value_range(self.meta.b)
         except ValueError as e:
             raise ValueError(f"meta.b: {e}") from None
+        try:  # iter alone, so a TypeError raised while iterating is not renamed
+            iter(self.changes)
+        except TypeError:
+            raise ValueError(f"changes: expected a sequence of changes, "
+                             f"got {type(self.changes).__name__}") from None
+        changes = tuple(self.changes)  # a tuple is returned as is
         mask = (1 << self.meta.b) - 1
         # One ordered pass: each change is unpacked, checked whole, stored as
         # a record and its flip pattern kept; the first fault raises. Every

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,6 +68,42 @@ class TestDistances:
         lines = out.splitlines()
         assert code == 0 and len(lines) == 17
         assert lines[1].lstrip().startswith("-8")
+
+    def test_plain_table_golden(self, capsys):
+        code, out, _ = run(capsys, "distances", "--bits", "4")
+        assert code == 0
+        assert out == "\n".join([
+            "    -8 -7 -6 -5 -4 -3 -2 -1  0  1  2  3  4  5  6  7",
+            " -8  0  1  1  2  1  2  2  3  1  2  2  3  2  3  3  4",
+            " -7  1  0  2  1  2  1  3  2  2  1  3  2  3  2  4  3",
+            " -6  1  2  0  1  2  3  1  2  2  3  1  2  3  4  2  3",
+            " -5  2  1  1  0  3  2  2  1  3  2  2  1  4  3  3  2",
+            " -4  1  2  2  3  0  1  1  2  2  3  3  4  1  2  2  3",
+            " -3  2  1  3  2  1  0  2  1  3  2  4  3  2  1  3  2",
+            " -2  2  3  1  2  1  2  0  1  3  4  2  3  2  3  1  2",
+            " -1  3  2  2  1  2  1  1  0  4  3  3  2  3  2  2  1",
+            "  0  1  2  2  3  2  3  3  4  0  1  1  2  1  2  2  3",
+            "  1  2  1  3  2  3  2  4  3  1  0  2  1  2  1  3  2",
+            "  2  2  3  1  2  3  4  2  3  1  2  0  1  2  3  1  2",
+            "  3  3  2  2  1  4  3  3  2  2  1  1  0  3  2  2  1",
+            "  4  2  3  3  4  1  2  2  3  1  2  2  3  0  1  1  2",
+            "  5  3  2  4  3  2  1  3  2  2  1  3  2  1  0  2  1",
+            "  6  3  4  2  3  2  3  1  2  2  3  1  2  1  2  0  1",
+            "  7  4  3  3  2  3  2  2  1  3  2  2  1  2  1  1  0",
+        ]) + "\n"
+
+    def test_code_table_golden(self, capsys):
+        # 257 lines of 1285 characters: every cell is five wide, the width
+        # of "-128" plus one; the whole text is pinned by its digest
+        code, out, _ = run(capsys, "distances", "--code", "C13_4")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 257
+        assert {len(line) for line in lines} == {1285}
+        assert lines[0].startswith("      -128 -127 -126 -125") and lines[0].endswith("  126  127")
+        assert lines[1].startswith(" -128    0   10   10    4   10")
+        assert lines[-1].startswith("  127    8    4    4    8") and lines[-1].endswith("   10    0")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "72c6aaae99bb633c08d530b27e19494c007ce98ca00b42957f83eaf05b9224fe")
 
     def test_code_and_bits_are_exclusive(self, capsys):
         code, _, err = run(capsys, "distances", "--code", "C7_3", "--bits", "4")
@@ -379,6 +416,26 @@ class TestOverhead:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 2
         assert lines[1] == "C13_4,8,13,62.5,13"
+
+
+    def test_table_golden(self, capsys):
+        code, out, _ = run(capsys, "overhead")
+        assert code == 0
+        assert out == "\n".join([
+            " code  b   n  overhead_percent  bits_per_weight",
+            " C7_3  4   7                75                7",
+            " C8_4  4   8               100                8",
+            " C9_4  4   9               125                9",
+            "C12_3  8  12                50               12",
+            "C13_4  8  13              62.5               13",
+            "C14_4  8  14                75               14",
+        ]) + "\n"
+
+    def test_single_code_table_golden(self, capsys):
+        code, out, _ = run(capsys, "overhead", "--code", "C13_4")
+        assert code == 0
+        assert out == (" code  b   n  overhead_percent  bits_per_weight\n"
+                       "C13_4  8  13              62.5               13\n")
 
 
 class TestBench:

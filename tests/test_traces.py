@@ -401,15 +401,17 @@ class TestSynthesize:
     def test_validation(self):
         with pytest.raises(ValueError, match="num_changes must be nonnegative"):
             synthesize_trace(4, -1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"msb_fraction must lie in \[0, 1\], got 1\.5$"):
             synthesize_trace(4, 1, msb_fraction=1.5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"flip count 5 outside 1\.\.4$"):
             synthesize_trace(4, 1, multiflip_weights={5: 1.0}, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"multiflip weights sum to 0\.5, expected 1$"):
             synthesize_trace(4, 1, multiflip_weights={1: 0.5}, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weight for 2 flips is negative$"):
             synthesize_trace(4, 1, multiflip_weights={1: 1.5, 2: -0.5}, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="multiflip_weights must not be empty$"):
+            synthesize_trace(4, 1, multiflip_weights={}, seed=0)
+        with pytest.raises(ValueError, match=r"bit width must be one of \(4, 8\), got 16$"):
             synthesize_trace(16, 1, seed=0)
         for num, kind in ((3.0, "float"), (True, "bool"), ("3", "str"), (None, "NoneType")):
             with pytest.raises(ValueError, match=f"num_changes: expected int, got {kind}$"):
@@ -547,13 +549,31 @@ class TestChangeValidation:
         # a one-shot iterator is read once, so the fault named is the next change's
         ([iter(("l", 0, 1, 2)), ("l", 1, 1, 9)],
          "changes[1].new: expected integer in [-8, 7], got 9"),
+        # changes that cannot be iterated at all are named as a whole
+        (None, "changes: expected a sequence of changes, got NoneType"),
+        (5, "changes: expected a sequence of changes, got int"),
     ], ids=["value-then-short", "short", "long", "empty", "int", "None-first", "index-then-int",
-            "iterator-then-range"])
+            "iterator-then-range", "changes-None", "changes-int"])
     def test_malformed_records_rejected_in_order(self, changes, message):
         with pytest.raises(ValueError) as info:
             AttackTrace(TraceMeta("m", 4, "x", "d"), changes)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+
+    def test_meta_fault_wins_over_changes_fault(self):
+        with pytest.raises(ValueError) as info:
+            AttackTrace(TraceMeta("m", 3, "x", "d"), None)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "meta.b: bit width must be one of (4, 8), got 3"
+
+    def test_type_error_inside_changes_propagates(self):
+        # only a changes value that cannot be iterated is renamed; a fault
+        # raised while iterating one is the iterable's own
+        def changes():
+            yield ("l", 0, 1, 2)
+            raise TypeError("from inside")
+        with pytest.raises(TypeError, match="^from inside$"):
+            AttackTrace(TraceMeta("m", 4, "x", "d"), changes())
 
     def test_records_are_plain_tuples(self):
         assert WeightChange("l", 0, 3, 4) == ("l", 0, 3, 4)
