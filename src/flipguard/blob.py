@@ -36,10 +36,11 @@ translated lanes (one to three for the six codes), and a word w is a
 codeword iff its syndrome is zero. A one-source slot is clean when no lane
 byte lies outside its table's kernel and a two-source slot when its two
 lanes are equal, so only three-source slots make ints, and a clean blob
-builds no syndrome buffer. ``_flagged`` is the only code that reads the
-verdicts. Fewer than count / ``_SPARSE`` flagged words are found in each
-dirty slot's syndromes with ``bytes.find``, which skips clean stretches in
-C, and merged; more are picked by ``compress`` out of one shared tuple of
+builds no syndrome buffer. Dirty slots write their syndromes into one
+buffer, one byte per word, and ``_flagged``, the only code that reads the
+verdicts, counts its nonzero bytes once. Fewer than count / ``_SPARSE``
+flagged words are found in it with ``bytes.find``, which skips clean
+stretches in C; more are picked by ``compress`` out of one shared tuple of
 word indices, ``_INDEX`` (about 40 B kept per word of the largest densely
 flagged blob seen). So the readout makes no int per clean word. A dirty
 result stays on the blob for the map that found it, so verify then decode
@@ -291,16 +292,17 @@ def _indices(k: int) -> tuple[int, ...]:
     return index
 
 
-def _scan(m: EncodingMap, lanes: list[bytes]) -> dict[int, bytes]:
-    """The syndrome pass: each dirty word slot o and its syndromes, byte k
-    word 8k + o's, ORed over the sets of 8 parity-check rows. Each source
-    lane is translated once. One source is clean when no lane byte lies
-    outside its table's kernel, and two when their translated lanes are
-    equal, so such a slot makes no int; three or more are clean when their
-    XOR as ints is 0.
+def _scan(m: EncodingMap, lanes: list[bytes]) -> bytearray | None:
+    """The syndrome pass: one byte per word, byte 8k + o word 8k + o's
+    syndrome ORed over the sets of 8 parity-check rows, or None when every
+    word is a codeword. Each word slot o is tested on its own, and each
+    source lane is translated once. One source is clean when no lane byte
+    lies outside its table's kernel, and two when their translated lanes
+    are equal, so such a slot makes no int; three or more are clean when
+    their XOR as ints is 0. The buffer is made by the first dirty slot.
     """
-    size, dirty = len(lanes[0]), {}
-    for o, sources, kernel in m._checks:
+    size, sb = len(lanes[0]), None
+    for c, (o, sources, kernel) in enumerate(m._checks):
         if kernel is not None:
             i, table = sources[0]
             if not lanes[i].translate(None, kernel):
@@ -320,24 +322,24 @@ def _scan(m: EncodingMap, lanes: list[bytes]) -> dict[int, bytes]:
             if not acc:
                 continue
             syndromes = acc.to_bytes(size, "big")
-        if o in dirty:  # another set of 8 rows
-            acc = int.from_bytes(dirty[o], "big") | int.from_bytes(syndromes, "big")
+        if sb is None:
+            sb = bytearray(8 * size)
+        elif c >= 8:  # a later set of 8 rows: OR in the earlier sets'
+            acc = int.from_bytes(sb[o::8], "big") | int.from_bytes(syndromes, "big")
             syndromes = acc.to_bytes(size, "big")
-        dirty[o] = syndromes
-    return dirty
+        sb[o::8] = syndromes
+    return sb
 
 
 def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int, ...]]:
     """The engine's lanes of the checked payload (``_payload_bits``) and the
-    ascending indices of the words w with H·w != 0, from the dirty slots'
-    syndromes (``_scan``): word 8k + o is flagged when byte k of slot o's is
-    nonzero.
+    ascending indices of the words w with H·w != 0: the nonzero bytes of
+    the syndrome buffer (``_scan``).
 
-    The flagged words are counted slot by slot, up to count / ``_SPARSE``,
-    so a random payload counts one slot. Under that many, each dirty slot's
-    are found in its own syndromes by ``bytes.find`` and merged in
-    ascending order; more are picked by ``compress`` out of all slots'
-    syndromes interleaved into one buffer, one byte per word.
+    The flagged words are counted once, in the buffer; padding words have
+    syndrome 0. Under count / ``_SPARSE`` of them, ``bytes.find`` steps
+    from one to the next in the buffer mapped to 0/1; more are picked by
+    ``compress`` out of the buffer.
 
     A dirty result is kept on the blob as ``_flags``, (m, indices), and a
     later call with the same map object returns it with no lanes and no
@@ -356,25 +358,16 @@ def _flagged(m: EncodingMap, blob: EncodedBlob) -> tuple[list[bytes], tuple[int,
     n, count = blob.n, blob.count
     blocks = _payload_bits(blob.payload, n, count)
     lanes = [blocks[j::n] for j in range(n)]
-    dirty = _scan(m, lanes)
-    if not dirty:
+    sb = _scan(m, lanes)
+    if sb is None:
         return lanes, ()
-    size, flagged = len(lanes[0]), 0
-    for syndromes in dirty.values():
-        flagged += size - syndromes.count(0)  # padding words have syndrome 0
-        if flagged * _SPARSE >= count:
-            sb = bytearray(8 * size)
-            for o, lane in dirty.items():
-                sb[o::8] = lane
-            # compress steps a bytes object about 8% faster than a bytearray
-            found = tuple(compress(_indices(count), bytes(sb)))
-            break
+    flagged = len(sb) - sb.count(0)
+    if flagged * _SPARSE >= count:
+        # compress steps a bytes object about 8% faster than a bytearray
+        found = tuple(compress(_indices(count), bytes(sb)))
     else:
-        found = []
-        for o, syndromes in dirty.items():
-            nz, k = syndromes.translate(_NONZERO), -1
-            found += [8 * (k := nz.find(1, k + 1)) + o for _ in range(size - syndromes.count(0))]
-        found = tuple(sorted(found))
+        nz, k = sb.translate(_NONZERO), -1
+        found = tuple([(k := nz.find(1, k + 1)) for _ in range(flagged)])
     object.__setattr__(blob, "_flags", (m, found))
     return lanes, found
 

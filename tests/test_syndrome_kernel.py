@@ -3,10 +3,12 @@
 Every n-bit word of every code goes through ``verify_blob`` alone and all
 together; short counts and counts beside the field mask's 8-word byte period
 are checked, with planted flips, against ``reference_scan``, and so are
-blobs that shrink and grow past the shared tuple of word indices. The
-flagged-word readout has a sparse and a dense branch; flag counts on both
-sides of the switch and layouts that mix clean and random stretches are
-checked against the reference too.
+blobs that shrink and grow past the shared tuple of word indices. ``_scan``
+returns no buffer for a clean payload, and for a dirty one a buffer of one
+byte per word, nonzero exactly at the flagged words. Both readouts of that
+buffer, sparse and dense, are forced on the same light, half-random and
+random payloads, and flag counts on both sides of the switch and layouts
+that mix clean and random stretches are checked against the reference too.
 """
 import random
 
@@ -19,6 +21,7 @@ from flipguard.encoding import EncodingMap, canonical_map
 
 from test_codec_differential import (
     random_payload, random_values, reference_scan, scan_both, with_payload)
+from test_kernel_widths import codes_of_width
 
 # 1..17, then 8j - 1 and 8j + 1 further out
 PERIOD_COUNTS = (*range(1, 18), *(8 * j + s for j in (3, 4, 7, 16, 128) for s in (-1, 1)))
@@ -174,3 +177,71 @@ def test_light_flips_leave_the_index_tuple_unbuilt(monkeypatch):
     assert verify_blob(m, blob).corrupted_indices == (5, 9000, count - 1)
     assert decode_tensor(m, blob).corrupted_indices == (5, 9000, count - 1)
     assert flipguard.blob._INDEX == ()
+
+
+# The six codes and a custom one with 12 parity-check rows, two sets of 8.
+WIDE = codes_of_width(16)[0]
+READOUT_MAPS = (*CODE_IDS, "wide")
+
+
+def map_of(name):
+    return EncodingMap(WIDE.generator) if name == "wide" else canonical_map(name)
+
+
+def readout_payloads(m, count, rng):
+    """A clean blob of count random values, and three dirty copies: a few
+    flipped words, a clean first half with a random second half, and a
+    random payload."""
+    n = m.code.n
+    clean = encode_tensor(m, random_values(rng, m, count), "l")
+    light = flipped_words(clean, n, rng.sample(range(count), min(count, 3)))
+    noise = with_payload(clean, random_payload(rng, n, count))
+    half = bytearray(noise.payload)
+    cut = count // 2 * n // 8  # whole bytes of the clean words
+    half[:cut] = clean.payload[:cut]
+    return clean, [light, with_payload(clean, half), noise]
+
+
+def lanes_of(blob):
+    blocks = flipguard.blob._payload_bits(blob.payload, blob.n, blob.count)
+    return [blocks[j::blob.n] for j in range(blob.n)]
+
+
+def test_the_wide_code_has_two_row_sets():
+    assert len(WIDE.parity_checks) > 8
+
+
+@pytest.mark.parametrize("name", READOUT_MAPS)
+@pytest.mark.parametrize("readout", ("sparse", "dense"))
+def test_both_readouts_match_reference(name, readout, monkeypatch):
+    m = map_of(name)
+    rng = random.Random(f"{name}/readout")
+    for count in READOUT_COUNTS:
+        # dense when flagged * _SPARSE >= count: count + 1 makes one flag
+        # enough, and 0 makes no number of flags enough
+        monkeypatch.setattr(flipguard.blob, "_SPARSE", count + 1 if readout == "dense" else 0)
+        for blob in readout_payloads(m, count, rng)[1]:
+            monkeypatch.setattr(flipguard.blob, "_INDEX", ())
+            got = scan_both(m, blob)
+            assert got == reference_scan(m, blob.payload, count)
+            assert got[1]
+            # only the dense readout reads the shared index tuple
+            assert (flipguard.blob._INDEX != ()) == (readout == "dense")
+
+
+@pytest.mark.parametrize("name", READOUT_MAPS)
+def test_scan_returns_one_byte_per_word(name):
+    m = map_of(name)
+    rng = random.Random(f"{name}/buffer")
+    for count in PERIOD_COUNTS:
+        clean, dirty = readout_payloads(m, count, rng)
+        assert flipguard.blob._scan(m, lanes_of(clean)) is None
+        for blob in dirty:
+            flagged = reference_scan(m, blob.payload, count)[1]
+            sb = flipguard.blob._scan(m, lanes_of(blob))
+            if not flagged:  # a short random payload can be all codewords
+                assert sb is None
+                continue
+            assert len(sb) == 8 * -(-count // 8)
+            assert tuple(i for i, syndrome in enumerate(sb) if syndrome) == flagged
+            assert not any(sb[count:])  # padding words
